@@ -1,10 +1,12 @@
 """Closed-form cohomology of line bundles and split bundles on a scroll.
 
 The pushforward of O(pH + qF) to the base is Sym^p(V)(q) when p >= 0, a sum
-of line bundles O(t + q) indexed by the weak compositions of p.  Cohomology
-therefore sits in degrees 0 and m for p >= 0, vanishes for -n <= p < 0, and
-for p < -n is computed by relative duality from Sym^{-p-n-1}(V)(c-q-1-m),
-landing in degrees n and n+m.  Tables are plain tuples of length n+m+1.
+of line bundles O(t + q), one per weak composition of p.  Cohomology therefore
+sits in degrees 0 and m for p >= 0, vanishes for -n <= p < 0, and for p < -n
+is computed by relative duality from Sym^{-p-n-1}(V)(c-q-1-m), landing in
+degrees n and n+m.  Line cohomology sums over a histogram of the twists t,
+counted in O(n p^2 (a_n - a_0)) work without listing the compositions.  Tables
+are plain tuples of length n+m+1.
 
 All dimension arithmetic is unbounded-integer exact; binomials are built
 multiplicatively.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .scroll import ZERO, DivClass, Scroll
 
@@ -43,16 +46,21 @@ def pm_cohom(m: int, d: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def sym_twists(x: Scroll, k: int) -> tuple[int, ...]:
-    """Multiset of base twists of Sym^k(V): all sums beta . a over weak
-    compositions beta of k, as a sorted tuple of length C(k+n, n)."""
+def sym_twists(x: Scroll, k: int) -> tuple[tuple[int, int], ...]:
+    """Histogram of the base twists of Sym^k(V): sorted pairs (t, mult), mult
+    counting the weak compositions beta of k with beta . a = t, i.e. the
+    coefficient of u^k z^t in prod_j 1/(1 - u z^{a_j}), in O(n k^2 (a_n - a_0))."""
     if k < 0:
         raise ValueError("symmetric power index must be nonnegative")
-    from .characters import weak_compositions
-
-    twists = [sum(aj * bj for aj, bj in zip(x.a, beta)) for beta in weak_compositions(k, x.n + 1)]
-    twists.sort()
-    return tuple(twists)
+    # rows[l][s]: compositions of l over the variables so far with twist l*a_0 + s
+    rows = [[1] for _ in range(k + 1)]
+    for aj in x.a[1:]:
+        b = aj - x.a[0]
+        for l in range(1, k + 1):
+            row, prev = rows[l], rows[l - 1]
+            row += [0] * (len(prev) + b - len(row))
+            row[b:] = map(add, row[b:], prev)
+    return tuple((s + k * x.a[0], c) for s, c in enumerate(rows[k]) if c)
 
 
 def zero_table(x: Scroll) -> tuple[int, ...]:
@@ -69,16 +77,16 @@ def line_cohom(x: Scroll, d: DivClass) -> tuple[int, ...]:
     table = [0] * (x.dim + 1)
     p, q = d.p, d.q
     if p >= 0:
-        for t in sym_twists(x, p):
+        for t, mult in sym_twists(x, p):
             h0, hm = pm_cohom(x.m, t + q)
-            table[0] += h0
-            table[x.m] += hm
+            table[0] += mult * h0
+            table[x.m] += mult * hm
     elif p < -x.n:
         b = x.c - q - 1 - x.m
-        for t in sym_twists(x, -p - x.n - 1):
+        for t, mult in sym_twists(x, -p - x.n - 1):
             h0, hm = pm_cohom(x.m, t + b)
-            table[x.dim] += h0
-            table[x.n] += hm
+            table[x.dim] += mult * h0
+            table[x.n] += mult * hm
     return tuple(table)
 
 

@@ -114,15 +114,21 @@ def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | No
         raise ValueError(f"sweep grid has {len(cells)} cells, over the {MAX_CELLS} limit; shrink the boxes")
 
     cache: dict[str, dict] = {}
+    line = "\n"  # the last line read; a write cut short leaves it without a newline
     if records_path.exists():
         with records_path.open() as fh:
             for line in fh:
-                rec = json.loads(line)
-                cache[rec["key"]] = rec
+                try:
+                    rec = json.loads(line)
+                    cache[rec["key"]] = rec
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    pass  # a torn or foreign line: its cell is recomputed
 
     fresh = 0
     records = []
     with records_path.open("a") as fh:
+        if not line.endswith("\n"):
+            fh.write("\n")  # so the next record does not extend the torn line
         for scroll, op, inputs in cells:
             key = record_key(scroll, op, inputs)
             rec = cache.get(key)

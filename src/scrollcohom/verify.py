@@ -133,7 +133,7 @@ def suite_closed_form() -> list[CheckResult]:
         for p in range(0, 5):
             for q in range(-6, 7):
                 chi = euler_char(x, DivClass(p, q))
-                poly = sum(gen_binom(t + q + x.m, x.m) for t in sym_twists(x, p))
+                poly = sum(mult * gen_binom(t + q + x.m, x.m) for t, mult in sym_twists(x, p))
                 if chi != poly:
                     bad.append((x, (p, q), chi, poly))
     out.append(_result("closed-form", "euler-characteristic-polynomial", bad))

@@ -1,7 +1,12 @@
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scrollcohom import (DivClass, SplitBundle, bundle_cohom, euler_char, is_globally_generated,
                          line_cohom, make_scroll, mult_map_rank, pm_cohom, sym_twists)
+from scrollcohom.characters import weak_compositions
 from scrollcohom.cohomology import choose
 
 X12 = make_scroll(1, 1, [1, 2])
@@ -22,12 +27,47 @@ def test_choose_edge_cases():
 
 
 def test_sym_twists():
-    assert sym_twists(X12, 2) == (2, 3, 4)
-    assert sym_twists(X12, 0) == (0,)
-    assert sym_twists(make_scroll(1, 2, [1, 1, 2]), 1) == (1, 1, 2)
-    assert len(sym_twists(make_scroll(1, 3, [1, 1, 1, 1]), 4)) == choose(4 + 3, 3)
+    assert sym_twists(X12, 2) == ((2, 1), (3, 1), (4, 1))
+    assert sym_twists(X12, 0) == ((0, 1),)
+    assert sym_twists(make_scroll(1, 2, [1, 1, 2]), 1) == ((1, 2), (2, 1))
+    assert sym_twists(make_scroll(1, 3, [1, 1, 1, 1]), 4) == ((4, choose(4 + 3, 3)),)
     with pytest.raises(ValueError):
         sym_twists(X12, -1)
+
+
+@st.composite
+def scrolls(draw):
+    m = draw(st.integers(0, 2))
+    n = draw(st.integers(0 if m else 1, 3))
+    return make_scroll(m, n, draw(st.lists(st.integers(-4, 5), min_size=n + 1, max_size=n + 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(x=scrolls(), k=st.integers(0, 8))
+@example(x=make_scroll(0, 2, [-1, 0, 3]), k=5)  # m = 0, a negative twist
+@example(x=make_scroll(2, 0, [-3]), k=8)  # n = 0
+@example(x=make_scroll(1, 3, [2, 2, 2, 5]), k=7)  # repeated twists
+@example(x=make_scroll(1, 2, [-4, -4, -1]), k=6)  # all twists negative
+def test_sym_twists_matches_enumeration(x, k):
+    hist = sym_twists(x, k)
+    want = Counter(sum(aj * bj for aj, bj in zip(x.a, beta)) for beta in weak_compositions(k, x.n + 1))
+    assert dict(hist) == want
+    assert all(t1 < t2 for (t1, _), (t2, _) in zip(hist, hist[1:]))
+    assert sum(mult for _, mult in hist) == choose(k + x.n, x.n)
+
+
+def test_line_cohom_high_degree():
+    # Sym^300 of O(1)^5 (resp. O(0)^5) is C(304, 4) copies of one line bundle;
+    # listing the compositions would take C(304, 4) ~ 3.5e8 steps
+    x = make_scroll(1, 4, [1] * 5)
+    assert line_cohom(x, DivClass(300, 0)) == (choose(304, 4) * 301, 0, 0, 0, 0, 0)
+    x = make_scroll(2, 4, [0] * 5)
+    assert line_cohom(x, DivClass(300, 5)) == (choose(304, 4) * choose(7, 2),) + (0,) * 6
+    x = make_scroll(1, 4, [1, 2, 3, 5, 8])
+    for p in (120, -125):
+        d = x.divclass(p, -7)
+        t1, t2 = line_cohom(x, d), line_cohom(x, x.serre_dual_twist(d))
+        assert any(t1) and all(t1[i] == t2[x.dim - i] for i in range(x.dim + 1))
 
 
 def test_line_cohom_frozen_values():

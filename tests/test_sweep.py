@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from scrollcohom.cli import main
 from scrollcohom.sweep import enumerate_family, record_key, run_sweep
 
 
@@ -44,3 +45,24 @@ def test_oversized_grid_rejected(tmp_path):
     family = {"m": [1], "n": [1], "a_min": 1, "a_max": 9}
     with pytest.raises(ValueError, match="over the"):
         run_sweep(family, ["cohom"], {"split": [[0, 0]]}, (-15, 15), (-15, 15), str(tmp_path))
+
+
+def test_torn_record_is_recomputed(tmp_path, capsys):
+    argv = ["sweep", "--family", '{"m":[1],"n":[1],"a_min":1,"a_max":2}', "--ops", "reg,compare",
+            "--pbox=-1:1", "--qbox=-1:1", "--out", str(tmp_path)]
+    records, csv = tmp_path / "records.jsonl", tmp_path / "summary.csv"
+
+    def sweep():
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["fresh"]
+
+    sweep()
+    csv_first = csv.read_bytes()
+    # a crash mid-write leaves part of the last record and no newline
+    lines = records.read_bytes().splitlines(keepends=True)
+    records.write_bytes(b"".join(lines[:-1]) + lines[-1][:60])
+    assert sweep() == 1
+    assert csv.read_bytes() == csv_first
+    # the recomputed record went on a line of its own, so it is now served from the store
+    assert sweep() == 0
+    assert csv.read_bytes() == csv_first
