@@ -11,8 +11,7 @@ from .characters import Character, character_cohom, enumerate_contributing
 from .cohomology import (SplitBundle, bundle_cohom, euler_char, is_globally_generated,
                          line_cohom, mult_map_rank, pm_cohom, sym_twists)
 from .complexes import (MonomialComplex, cotangent_resolution_left, cotangent_resolution_right,
-                        euler_complex, exterior_complex, hypercohom, koszul_pullback,
-                        koszul_pullback_spliced, omega_cohom, validate_complex)
+                        hypercohom, omega_cohom)
 from .regularity import (RegularityReport, compare_regularities, is_ms_regular, is_pq_regular,
                          reg, reg_detail, rns_is_pq_regular)
 from .scroll import DivClass, Scroll, TwistMap, make_scroll, normalize_twist
@@ -28,8 +27,7 @@ __all__ = [
     "SplitBundle", "bundle_cohom", "euler_char", "is_globally_generated",
     "line_cohom", "mult_map_rank", "pm_cohom", "sym_twists",
     "MonomialComplex", "cotangent_resolution_left", "cotangent_resolution_right",
-    "euler_complex", "exterior_complex", "hypercohom", "koszul_pullback",
-    "koszul_pullback_spliced", "omega_cohom", "validate_complex",
+    "hypercohom", "omega_cohom",
     "RegularityReport", "compare_regularities", "is_ms_regular", "is_pq_regular",
     "reg", "reg_detail", "rns_is_pq_regular",
     "DivClass", "Scroll", "TwistMap", "make_scroll", "normalize_twist",

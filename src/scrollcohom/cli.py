@@ -91,13 +91,7 @@ def _cmd_reg(args) -> int:
     x = _scroll_arg(args.scroll)
     spec = _sheaf_arg(args.sheaf)
     scan = _pair(args.scan, "--scan") if args.scan else None
-    if scan is None and not x.is_positive:
-        scan = (-3 * (x.dim + 2), 3 * (x.dim + 2))
-        res = reg_detail(x, spec, scan)
-        res = type(res)(res.value, False, res.scan, res.flags + ("default-scan-on-non-positive-scroll",))
-    else:
-        res = reg_detail(x, spec, scan)
-    _emit(res.to_json())
+    _emit(reg_detail(x, spec, scan).to_json())
     return 0
 
 

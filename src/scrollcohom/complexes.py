@@ -18,9 +18,10 @@ Conventions fixed here:
   representative, which is what makes the decomposition by characters
   valid: entries of equal class but different monomials (x_0 vs x_1, say)
   would otherwise be conflated.
-* Subset-indexed terms use representatives -sum_{i in I} e_{y_i} plus a
-  fixed shift per builder, so contraction entries y_i match representative
-  differences on the nose.
+* Subset-indexed terms, over a block of variables v (the base coordinates
+  x or the fiber coordinates y), use representatives -sum_{i in I} e_{v_i}
+  plus a fixed shift per builder, so contraction entries v_i match
+  representative differences on the nose.
 * The chart cover is the product of the base and fiber covers; per summand
   and character the Cech complex is the tensor product of the two sign
   complexes, with membership of the (S, T) component decided by
@@ -110,22 +111,12 @@ def expo_class(x: Scroll, expo: tuple[int, ...]) -> DivClass:
     return DivClass(sum(beta), sum(alpha) - sum(aj * bj for aj, bj in zip(x.a, beta)))
 
 
-def _unit(x: Scroll, idx: int) -> tuple[int, ...]:
+def _unit(x: Scroll, *idx: int) -> tuple[int, ...]:
+    """Exponent vector of the product of the variables at the given indices."""
     vec = [0] * (x.m + 1 + x.n + 1)
-    vec[idx] = 1
+    for i in idx:
+        vec[i] += 1
     return tuple(vec)
-
-
-def _x_unit(x: Scroll, i: int) -> tuple[int, ...]:
-    return _unit(x, i)
-
-
-def _y_unit(x: Scroll, j: int) -> tuple[int, ...]:
-    return _unit(x, x.m + 1 + j)
-
-
-def _vadd(*vecs):
-    return tuple(sum(parts) for parts in zip(*vecs))
 
 
 def rep_for_class(x: Scroll, d: DivClass) -> tuple[int, ...]:
@@ -140,45 +131,43 @@ def single_term_complex(x: Scroll, d: DivClass) -> MonomialComplex:
     return MonomialComplex(x, 0, ((Summand(d, rep_for_class(x, d)),),))
 
 
-def _contraction_sign(elt: int, subset: tuple[int, ...]) -> int:
-    return -1 if subset.index(elt) % 2 else 1
-
-
-def _subset_terms(x: Scroll, sizes: list[int], h_shift: bool) -> tuple[tuple, tuple]:
-    """Terms indexed by subsets I of {0..n} of the given sizes (listed in
-    map order, so consecutive sizes differ by -1), with contraction
-    differentials e_I -> sum +- y_i e_{I - i}.  With h_shift the classes are
-    <1-|I|, a_I> (exterior powers of the Euler term twisted back by H),
-    otherwise <-|I|, a_I>."""
-    nvars = x.m + x.n + 2
-    base = [0] * nvars
-    if h_shift:
-        base[x.m + 1] += 1
-        base[0] += x.a[0]
-    p_off = 1 if h_shift else 0
+def _koszul_terms(x: Scroll, off: int, count: int, sizes, base, cls) -> tuple[tuple, tuple]:
+    """Terms indexed by subsets I of the variable block off..off+count-1 (the
+    base coordinates at offset 0, or the fiber coordinates at offset m+1) of
+    the given sizes, listed in map order so consecutive sizes differ by -1,
+    with contraction differentials e_I -> sum +- v_i e_{I - i}.  The summand
+    of I has class cls(|I|, I) and representative base - sum_{i in I} e_{v_i}."""
     terms = []
     index_of = []
     for size in sizes:
-        subsets = list(itertools.combinations(range(x.n + 1), size))
+        subsets = list(itertools.combinations(range(count), size))
         index_of.append({s: k for k, s in enumerate(subsets)})
         row = []
         for sub in subsets:
-            a_i = sum(x.a[i] for i in sub)
             rep = list(base)
             for i in sub:
-                rep[x.m + 1 + i] -= 1
-            row.append(Summand(DivClass(p_off - size, a_i), tuple(rep)))
+                rep[off + i] -= 1
+            row.append(Summand(cls(size, sub), tuple(rep)))
         terms.append(tuple(row))
     diffs = []
     for k in range(len(sizes) - 1):
         assert sizes[k + 1] == sizes[k] - 1
         entries = []
         for sub, src in index_of[k].items():
-            for i in sub:
-                smaller = tuple(s for s in sub if s != i)
-                entries.append((src, index_of[k + 1][smaller], _contraction_sign(i, sub), _y_unit(x, i)))
+            for pos, i in enumerate(sub):
+                sign = -1 if pos % 2 else 1
+                entries.append((src, index_of[k + 1][sub[:pos] + sub[pos + 1:]], sign, _unit(x, off + i)))
         diffs.append(tuple(entries))
     return tuple(terms), tuple(diffs)
+
+
+def _subset_terms(x: Scroll, sizes, h_shift: bool) -> tuple[tuple, tuple]:
+    """Koszul terms over the fiber block.  With h_shift the classes are
+    <1-|I|, a_I> (exterior powers of the Euler term twisted back by H),
+    otherwise <-|I|, a_I>."""
+    p_off = 1 if h_shift else 0
+    return _koszul_terms(x, x.m + 1, x.n + 1, sizes, rep_for_class(x, DivClass(p_off, 0)),
+                         lambda size, sub: DivClass(p_off - size, sum(x.a[i] for i in sub)))
 
 
 def euler_complex(x: Scroll) -> MonomialComplex:
@@ -186,16 +175,14 @@ def euler_complex(x: Scroll) -> MonomialComplex:
     (+) O(a_i F) -> O(H); its hypercohomology is H^*(Omega^1(H))."""
     if x.n < 1:
         raise ValueError("the Euler presentation needs fiber dimension >= 1")
-    terms, diffs = _subset_terms(x, [1, 0], h_shift=True)
-    return MonomialComplex(x, 0, terms, diffs)
+    return MonomialComplex(x, 0, *_subset_terms(x, [1, 0], h_shift=True))
 
 
 def exterior_complex(x: Scroll) -> MonomialComplex:
     """The full exterior power sequence O<-n,c> -> ... -> B -> O(H); exact."""
     if x.n < 1:
         raise ValueError("needs fiber dimension >= 1")
-    terms, diffs = _subset_terms(x, list(range(x.n + 1, -1, -1)), h_shift=True)
-    return MonomialComplex(x, 0, terms, diffs)
+    return MonomialComplex(x, 0, *_subset_terms(x, range(x.n + 1, -1, -1), h_shift=True))
 
 
 def cotangent_resolution_left(x: Scroll, i: int) -> MonomialComplex:
@@ -204,8 +191,7 @@ def cotangent_resolution_left(x: Scroll, i: int) -> MonomialComplex:
     Placed in degrees -(n-i)..0, so hypercohomology computes H^*(Omega^i).
     """
     _check_omega_index(x, i)
-    terms, diffs = _subset_terms(x, list(range(x.n + 1, i, -1)), h_shift=False)
-    return MonomialComplex(x, -(x.n - i), terms, diffs)
+    return MonomialComplex(x, -(x.n - i), *_subset_terms(x, range(x.n + 1, i, -1), h_shift=False))
 
 
 def cotangent_resolution_right(x: Scroll, i: int) -> MonomialComplex:
@@ -214,8 +200,7 @@ def cotangent_resolution_right(x: Scroll, i: int) -> MonomialComplex:
     Placed in degrees 0..i, so hypercohomology computes H^*(Omega^i).
     """
     _check_omega_index(x, i)
-    terms, diffs = _subset_terms(x, list(range(i, -1, -1)), h_shift=False)
-    return MonomialComplex(x, 0, terms, diffs)
+    return MonomialComplex(x, 0, *_subset_terms(x, range(i, -1, -1), h_shift=False))
 
 
 def _check_omega_index(x: Scroll, i: int):
@@ -226,30 +211,9 @@ def _check_omega_index(x: Scroll, i: int):
 def koszul_pullback(x: Scroll) -> MonomialComplex:
     """Pullback of the Koszul complex of the base coordinates twisted by
     O(F): O(-mF) -> ... -> O^{m+1} -> O(F).  Exact."""
-    sizes = list(range(x.m + 1, -1, -1))
-    nvars = x.m + x.n + 2
-    terms = []
-    index_of = []
-    for size in sizes:
-        subsets = list(itertools.combinations(range(x.m + 1), size))
-        index_of.append({s: k for k, s in enumerate(subsets)})
-        row = []
-        for sub in subsets:
-            rep = [0] * nvars
-            rep[0] += 1
-            for i in sub:
-                rep[i] -= 1
-            row.append(Summand(DivClass(0, 1 - size), tuple(rep)))
-        terms.append(tuple(row))
-    diffs = []
-    for k in range(len(sizes) - 1):
-        entries = []
-        for sub, src in index_of[k].items():
-            for i in sub:
-                smaller = tuple(s for s in sub if s != i)
-                entries.append((src, index_of[k + 1][smaller], _contraction_sign(i, sub), _x_unit(x, i)))
-        diffs.append(tuple(entries))
-    return MonomialComplex(x, 0, tuple(terms), tuple(diffs))
+    return MonomialComplex(x, 0, *_koszul_terms(x, 0, x.m + 1, range(x.m + 1, -1, -1),
+                                                rep_for_class(x, DivClass(0, 1)),
+                                                lambda size, sub: DivClass(0, 1 - size)))
 
 
 def koszul_pullback_spliced(x: Scroll) -> MonomialComplex:
@@ -258,47 +222,19 @@ def koszul_pullback_spliced(x: Scroll) -> MonomialComplex:
     -> ... -> B -> O(H).  Exact."""
     if x.n < 1:
         raise ValueError("needs fiber dimension >= 1")
-    full = tuple(range(x.n + 1))
-    nvars = x.m + x.n + 2
-    # representative of class <-n, c-1>: (a_0 - 1) D_{x_0} - sum_{j>=1} D_{y_j}
-    base2 = [0] * nvars
-    base2[0] = x.a[0] - 1
+    # representative of O<-n,c>, the leftmost exterior term: a_0 D_{x_0} - sum_{j>=1} D_{y_j}
+    base = [0] * (x.m + 1 + x.n + 1)
+    base[0] = x.a[0]
     for j in range(1, x.n + 1):
-        base2[x.m + 1 + j] -= 1
-    terms = []
-    index_of = []
-    k_sizes = list(range(x.m + 1, 0, -1))
-    for size in k_sizes:
-        subsets = list(itertools.combinations(range(x.m + 1), size))
-        index_of.append({s: k for k, s in enumerate(subsets)})
-        row = []
-        for sub in subsets:
-            rep = list(base2)
-            rep[0] += 1
-            for i in sub:
-                rep[i] -= 1
-            row.append(Summand(DivClass(-x.n, x.c - size), tuple(rep)))
-        terms.append(tuple(row))
-    diffs = []
-    for k in range(len(k_sizes) - 1):
-        entries = []
-        for sub, src in index_of[k].items():
-            for i in sub:
-                smaller = tuple(s for s in sub if s != i)
-                entries.append((src, index_of[k + 1][smaller], _contraction_sign(i, sub), _x_unit(x, i)))
-        diffs.append(tuple(entries))
-    # exterior part, sizes n down to 0
-    ext_terms, ext_diffs = _subset_terms(x, list(range(x.n, -1, -1)), h_shift=True)
-    ext_index = {s: k for k, s in enumerate(itertools.combinations(full, x.n))}
-    splice = []
-    for (l,), src in index_of[-1].items():
-        for i in full:
-            smaller = tuple(s for s in full if s != i)
-            sign = _contraction_sign(i, full)
-            splice.append((src, ext_index[smaller], sign, _vadd(_x_unit(x, l), _y_unit(x, i))))
-    all_terms = tuple(terms) + ext_terms
-    all_diffs = tuple(diffs) + (tuple(splice),) + ext_diffs
-    return MonomialComplex(x, 0, all_terms, all_diffs)
+        base[x.m + 1 + j] = -1
+    kos_terms, kos_diffs = _koszul_terms(x, 0, x.m + 1, range(x.m + 1, 0, -1), base,
+                                         lambda size, sub: DivClass(-x.n, x.c - size))
+    ext_terms, ext_diffs = _subset_terms(x, range(x.n, -1, -1), h_shift=True)
+    # x_l * y_i from the base subset (l,) at index l to the fiber subset
+    # {0..n} - {i} at index n - i, with the sign of contracting y_i
+    splice = tuple((l, x.n - i, -1 if i % 2 else 1, _unit(x, l, x.m + 1 + i))
+                   for l in range(x.m + 1) for i in range(x.n + 1))
+    return MonomialComplex(x, 0, kos_terms + ext_terms, kos_diffs + (splice,) + ext_diffs)
 
 
 def validate_complex(c: MonomialComplex) -> list[str]:

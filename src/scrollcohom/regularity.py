@@ -136,13 +136,16 @@ def reg_detail(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) 
     On a positive scroll the scan window is derived from the closed-form
     nonvanishing ranges of the regularity conditions, every twist above it
     is provably regular, and monotonicity of regular twists makes the
-    downward scan exact.  On non-positive scrolls an explicit scan range is
-    required and the result is flagged as monotonicity-unverified beyond it.
+    downward scan exact.  On a non-positive scroll without an explicit scan
+    range this is the one default policy, used by the library, the CLI and
+    the sweep: scan p in +-3(dim+2) and flag the result as
+    monotonicity-unverified.
     """
+    if scan is None and not x.is_positive:
+        res = reg_detail(x, spec, (-3 * (x.dim + 2), 3 * (x.dim + 2)))
+        return RegResult(res.value, False, res.scan, res.flags + ("default-scan-on-non-positive-scroll",))
     conds = pq_conditions(x)
     if scan is None:
-        if not x.is_positive:
-            raise ValueError("need an explicit scan range on a non-positive scroll")
         finite = []
         any_interval = False
         for cond in conds:
@@ -182,6 +185,10 @@ def reg_detail(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) 
 
 
 def reg(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) -> int | None:
+    """Reg(E) as a bare integer.  Raises on a non-positive scroll without an
+    explicit scan range, where the default scan leaves monotonicity unverified."""
+    if scan is None and not x.is_positive:
+        raise ValueError("need an explicit scan range on a non-positive scroll")
     return reg_detail(x, spec, scan).value
 
 

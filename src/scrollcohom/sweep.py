@@ -59,8 +59,6 @@ def _run_op(scroll: Scroll, op: str, inputs: dict) -> dict:
         return {"h": list(sheaf_cohom(scroll, spec, t))}
     if op == "reg":
         scan = tuple(inputs["scan"]) if inputs.get("scan") else None
-        if scan is None and not scroll.is_positive:
-            scan = (-3 * (scroll.dim + 2), 3 * (scroll.dim + 2))
         return reg_detail(scroll, spec, scan).to_json()
     if op == "compare":
         rep = compare_regularities(scroll, spec, tuple(inputs["pbox"]), tuple(inputs["qbox"]))

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from .characters import character_cohom
 from .cohomology import (SplitBundle, bundle_cohom, choose, euler_char, is_globally_generated,
                          line_cohom, mult_map_rank, sym_twists, zero_table)
-from .complexes import (cotangent_resolution_left, cotangent_resolution_right, euler_complex,
-                        exterior_complex, hypercohom, koszul_pullback, koszul_pullback_spliced,
-                        omega_cohom, per_key_dims, single_term_complex, validate_complex)
+from .complexes import (_contributing_keys, cotangent_resolution_left, cotangent_resolution_right,
+                        euler_complex, exterior_complex, hypercohom, koszul_pullback,
+                        koszul_pullback_spliced, omega_cohom, per_key_dims, single_term_complex,
+                        validate_complex)
 from .regularity import (compare_regularities, is_ms_regular, is_pq_regular, reg_detail,
                          rns_is_pq_regular)
 from .scroll import DivClass, Scroll, make_scroll, normalize_twist
@@ -294,7 +295,7 @@ def suite_koszul() -> list[CheckResult]:
     bad = []
     for x in fam[:2]:
         c = cotangent_resolution_left(x, 1)
-        keys = _complex_keys(c)
+        keys = _contributing_keys(c)
         gens = []
         if x.m >= 1:
             g = [0] * (x.m + x.n + 2)
@@ -320,12 +321,6 @@ def suite_koszul() -> list[CheckResult]:
                 bad.append((x, key, dims))
     out.append(_result("koszul", "excluded-classes-acyclic", bad))
     return out
-
-
-def _complex_keys(c):
-    from .complexes import _contributing_keys
-
-    return _contributing_keys(c)
 
 
 def _bott_h(n: int, p: int, k: int, q: int) -> int:

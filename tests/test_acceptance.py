@@ -14,18 +14,8 @@ from scrollcohom import (DivClass, SheafSpec, character_cohom, check_indecomposa
 from scrollcohom.cohomology import is_globally_generated, zero_table
 from scrollcohom.complexes import cotangent_resolution_right, koszul_pullback
 from scrollcohom.cohomology import euler_char
-from scrollcohom.verify import _regular_split_samples
+from scrollcohom.verify import FAMILY, POSITIVE_FAMILY, _regular_split_samples
 
-FAMILY = (
-    make_scroll(1, 1, [1, 2]),
-    make_scroll(1, 2, [1, 1, 2]),
-    make_scroll(2, 1, [1, 3]),
-    make_scroll(2, 2, [1, 1, 1]),
-    make_scroll(1, 1, [0, 2]),
-    make_scroll(0, 2, [0, 0, 0]),
-    make_scroll(2, 0, [2]),
-)
-POSITIVE = tuple(x for x in FAMILY if x.is_positive and x.n > 0)
 SPLIT_SCROLLS = (make_scroll(1, 1, [1, 2]), make_scroll(1, 2, [1, 1, 2]))
 
 O = SheafSpec.from_split([(0, 0)])
@@ -70,7 +60,7 @@ def test_criterion_02_serre_duality():
 def test_criterion_03_displayed_values():
     t0 = time.time()
     bad = []
-    for x in POSITIVE:
+    for x in POSITIVE_FAMILY:
         n, m, c = x.n, x.m, x.c
         checks = [
             (x.dim, DivClass(-1 - n, c - 1 - m)),  # O(-H)<-n, c-1-m>
@@ -86,7 +76,7 @@ def test_criterion_03_displayed_values():
 def test_criterion_04_reg_zero_for_generators():
     t0 = time.time()
     bad = []
-    for x in POSITIVE:
+    for x in POSITIVE_FAMILY:
         for summands in ([(0, 0)], [(0, 1)], [(1, -1)]):
             e = SheafSpec.from_split(summands)
             if reg(x, e) != 0:
@@ -247,7 +237,7 @@ def test_criterion_11_rns_equivalence():
 def test_criterion_12_positivity_lemmas():
     t0 = time.time()
     bad = []
-    for x in POSITIVE:
+    for x in POSITIVE_FAMILY:
         for e in _regular_split_samples(x):
             for a in range(5):
                 for b in range(5):

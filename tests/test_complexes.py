@@ -1,11 +1,10 @@
 import pytest
 
-from scrollcohom import (DivClass, euler_char, hypercohom, line_cohom, make_scroll, omega_cohom,
-                         validate_complex)
+from scrollcohom import DivClass, euler_char, hypercohom, line_cohom, make_scroll, omega_cohom
 from scrollcohom.complexes import (MonomialComplex, cotangent_resolution_left,
                                    cotangent_resolution_right, euler_complex, exterior_complex,
                                    koszul_pullback, koszul_pullback_spliced, per_key_dims,
-                                   _contributing_keys, single_term_complex)
+                                   _contributing_keys, single_term_complex, validate_complex)
 from scrollcohom.cohomology import choose, zero_table
 
 X12 = make_scroll(1, 1, [1, 2])
@@ -42,7 +41,8 @@ def test_exterior_leftmost_term():
 
 
 def test_builders_validate():
-    for x in SCROLLS:
+    # a four-variable base block and a negative twist, through both blocks
+    for x in SCROLLS + (make_scroll(3, 1, [-1, 2]), make_scroll(3, 3, [1, 1, 2, 3])):
         for build in (euler_complex, exterior_complex, koszul_pullback, koszul_pullback_spliced):
             assert validate_complex(build(x)) == [], build.__name__
         for i in range(x.n + 1):

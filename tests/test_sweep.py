@@ -66,3 +66,16 @@ def test_torn_record_is_recomputed(tmp_path, capsys):
     # the recomputed record went on a line of its own, so it is now served from the store
     assert sweep() == 0
     assert csv.read_bytes() == csv_first
+
+
+def test_sweep_reg_matches_cli_on_non_positive(tmp_path, capsys):
+    family = {"m": [1], "n": [1], "a_min": 0, "a_max": 2}
+    sheaf = {"split": [[0, 0]]}
+    run_sweep(family, ["reg"], sheaf, (0, 0), (0, 0), str(tmp_path))
+    recs = [json.loads(line) for line in (tmp_path / "records.jsonl").read_text().splitlines()]
+    non_positive = [r for r in recs if min(r["scroll"]["a"]) <= 0]
+    assert non_positive
+    for rec in non_positive:
+        assert main(["reg", "--scroll", json.dumps(rec["scroll"]), "--sheaf", json.dumps(sheaf)]) == 0
+        assert rec["result"] == json.loads(capsys.readouterr().out)
+        assert rec["result"]["monotone_verified"] is False
