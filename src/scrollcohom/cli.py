@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reg", _cmd_reg, "least p with the sheaf (p,0)-regular")
     p.add_argument("--scroll", required=True)
     p.add_argument("--sheaf", required=True)
-    p.add_argument("--scan", help="explicit scan range lo:hi (required context on non-positive scrolls)")
+    p.add_argument("--scan", help="scan range lo:hi (non-positive scrolls default to +-3(dim+2), flagged)")
 
     p = add("pqreg", _cmd_pqreg, "(p,q)-regularity report at a point")
     p.add_argument("--scroll", required=True)

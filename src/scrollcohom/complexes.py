@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .characters import enumerate_contributing, valid_rows
-from .cohomology import zero_table
+from .cohomology import line_cohom, zero_table
 from .linalg import rank_int
 from .scroll import DivClass, Scroll
 
@@ -438,25 +438,16 @@ def hypercohom(x: Scroll, c: MonomialComplex) -> tuple[int, ...]:
     return tuple(table)
 
 
-def omega_cohom(x: Scroll, i: int, t: DivClass, route: str = "both") -> tuple[int, ...]:
+def omega_cohom(x: Scroll, i: int, t: DivClass) -> tuple[int, ...]:
     """Cohomology table of Omega^i(T), the i-th exterior power of the
-    relative cotangent bundle twisted by T.
+    relative cotangent bundle twisted by T.  Omega^0 is the structure sheaf.
 
-    Two independent resolutions are available; by default both are run and
-    must agree.  Omega^0 is the structure sheaf.
+    One resolution is built, the one with fewer summands: the right one has
+    sum_{s<=i} C(n+1,s) and the left one sum_{s>i} C(n+1,s), so the right
+    one is used when 2i < n and the left one otherwise.  The two are checked
+    against each other by verify's koszul and bott suites and by the tests.
     """
-    _check_omega_index(x, i)
-    if route not in ("left", "right", "both"):
-        raise ValueError(f"route must be left, right or both, not {route!r}")
-    from .cohomology import line_cohom
-
-    tables = {}
-    if route in ("left", "both"):
-        tables["left"] = hypercohom(x, cotangent_resolution_left(x, i).twist(t))
-    if route in ("right", "both"):
-        tables["right"] = line_cohom(x, t) if i == 0 else hypercohom(x, cotangent_resolution_right(x, i).twist(t))
-    if route == "both" and tables["left"] != tables["right"]:
-        raise AssertionError(
-            f"resolution routes disagree for Omega^{i}({t.p},{t.q}) on {x}: "
-            f"{tables['left']} vs {tables['right']}")
-    return tables["left"] if "left" in tables else tables["right"]
+    if i == 0:
+        return line_cohom(x, t)
+    build = cotangent_resolution_right if 2 * i < x.n else cotangent_resolution_left
+    return hypercohom(x, build(x, i).twist(t))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cohomology import SplitBundle, bundle_cohom, choose
+from .complexes import omega_cohom
 from .scroll import ZERO, DivClass, Scroll
 
 
@@ -65,11 +66,13 @@ class SheafSpec:
 
     @staticmethod
     def from_json(data) -> "SheafSpec":
-        if "split" in data:
-            return SheafSpec("split", split=SplitBundle.from_json(data["split"]))
-        if "omega" in data:
+        try:
+            if "split" in data:
+                return SheafSpec("split", split=SplitBundle.from_json(data["split"]))
             return SheafSpec.from_omega(int(data["omega"]["i"]), DivClass.from_json(data["omega"]["twist"]))
-        raise ValueError("sheaf descriptor must contain 'split' or 'omega'")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"sheaf descriptor must look like {{'split':[[0,0]]}} or "
+                             f"{{'omega':{{'i':1,'twist':[0,0]}}}}: {exc}")
 
 
 @lru_cache(maxsize=None)
@@ -77,10 +80,6 @@ def sheaf_cohom(x: Scroll, spec: SheafSpec, t: DivClass = ZERO) -> tuple[int, ..
     """Cohomology table of the catalog sheaf twisted by t."""
     if spec.kind == "split":
         return bundle_cohom(x, spec.split, t)
-    from .complexes import omega_cohom
-
-    if not 0 <= spec.omega_i <= x.n:
-        raise ValueError(f"omega index {spec.omega_i} out of range 0..{x.n}")
     return omega_cohom(x, spec.omega_i, spec.omega_twist + t)
 
 

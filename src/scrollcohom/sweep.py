@@ -1,9 +1,9 @@
 """Batch sweeps over scroll families with persisted, content-addressed results.
 
-Records are JSON lines keyed by a stable hash of (scroll, op, inputs); a
-warm cache returns the stored payload verbatim, so re-runs are
-byte-identical.  The CSV summary carries a versioned schema header and a
-canonical row order independent of scheduling.
+Records are JSON lines keyed by a stable hash of (engine tag, CSV schema,
+scroll, op, inputs); a warm cache returns the stored payload verbatim, so
+re-runs are byte-identical.  The CSV summary carries a versioned schema
+header and a canonical row order independent of scheduling.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .regularity import compare_regularities, reg_detail
 from .scroll import DivClass, Scroll, make_scroll
 from .sheaves import SheafSpec, sheaf_cohom
 
-ENGINE_TAG = "scrollcohom-0.1.0"
+ENGINE_TAG = "scrollcohom-0.1.0"  # part of every record key: bump it when any stored result changes
 CSV_SCHEMA = "scrollcohom-sweep-v1"
 CACHE_ENV = "SCROLLCOHOM_CACHE"
 MAX_CELLS = 20000
@@ -32,16 +32,19 @@ def _canon(obj) -> str:
 
 
 def record_key(scroll: Scroll, op: str, inputs: dict) -> str:
-    return hashlib.sha256(_canon({"scroll": scroll.to_json(), "op": op, "inputs": inputs}).encode()).hexdigest()
+    return hashlib.sha256(_canon({"engine": ENGINE_TAG, "schema": CSV_SCHEMA, "scroll": scroll.to_json(),
+                                  "op": op, "inputs": inputs}).encode()).hexdigest()
 
 
 def enumerate_family(family: dict) -> list[Scroll]:
     """Family descriptor: {"m": [..], "n": [..], "a_min": lo, "a_max": hi}.
     Enumerates all scrolls with the given dimensions and nondecreasing
     twists in [a_min, a_max]."""
-    ms = family["m"]
-    ns = family["n"]
-    lo, hi = int(family["a_min"]), int(family["a_max"])
+    try:
+        ms, ns = [int(m) for m in family["m"]], [int(n) for n in family["n"]]
+        lo, hi = int(family["a_min"]), int(family["a_max"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"family descriptor must look like {{'m':[1],'n':[1,2],'a_min':1,'a_max':3}}: {exc}")
     out = []
     for m in ms:
         for n in ns:
@@ -101,15 +104,15 @@ def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | No
     """Run the requested operations over the family grid.  Returns a summary
     dict; persists records.jsonl and summary.csv under the output directory
     (argument, else $SCROLLCOHOM_CACHE, else ./scrollcohom-sweep)."""
-    out = Path(out_dir or os.environ.get(CACHE_ENV) or "scrollcohom-sweep")
-    out.mkdir(parents=True, exist_ok=True)
-    records_path = out / "records.jsonl"
-    csv_path = out / "summary.csv"
-
     scrolls = enumerate_family(family)
     cells = _cells(scrolls, ops, sheaf_json, pbox, qbox)
     if len(cells) > MAX_CELLS:
         raise ValueError(f"sweep grid has {len(cells)} cells, over the {MAX_CELLS} limit; shrink the boxes")
+
+    out = Path(out_dir or os.environ.get(CACHE_ENV) or "scrollcohom-sweep")
+    out.mkdir(parents=True, exist_ok=True)
+    records_path = out / "records.jsonl"
+    csv_path = out / "summary.csv"
 
     cache: dict[str, dict] = {}
     line = "\n"  # the last line read; a write cut short leaves it without a newline

@@ -108,6 +108,19 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohom", "--scroll", SCROLL, "--sheaf", '{"omega":{"i":1}}'],
+    ["cohom", "--scroll", SCROLL, "--sheaf", '{"omega":{"twist":[0,0]}}'],
+    ["cohom", "--scroll", SCROLL, "--sheaf", '{"omega":5}'],
+    ["cohom", "--scroll", SCROLL, "--sheaf", '{"split":5}'],
+    ["sweep", "--family", '{"m":[1],"n":[1]}'],
+    ["sweep", "--family", "[1]"],
+])
+def test_malformed_descriptor_is_an_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ") and "must look like" in err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "scroll-core")
     assert code == 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from scrollcohom import sweep
 from scrollcohom.cli import main
 from scrollcohom.sweep import enumerate_family, record_key, run_sweep
 
@@ -79,3 +80,13 @@ def test_sweep_reg_matches_cli_on_non_positive(tmp_path, capsys):
         assert main(["reg", "--scroll", json.dumps(rec["scroll"]), "--sheaf", json.dumps(sheaf)]) == 0
         assert rec["result"] == json.loads(capsys.readouterr().out)
         assert rec["result"]["monotone_verified"] is False
+
+
+def test_store_from_another_engine_is_recomputed(tmp_path, monkeypatch):
+    args = ({"m": [1], "n": [1], "a_min": 0, "a_max": 2}, ["reg", "cohom"], {"split": [[0, 0]]},
+            (0, 0), (0, 0), str(tmp_path))
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "ENGINE_TAG", "scrollcohom-older")
+        first = run_sweep(*args)
+    again = run_sweep(*args)
+    assert again["fresh"] == again["cells"] == first["cells"] > 0
