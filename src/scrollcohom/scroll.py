@@ -15,6 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON descriptor.  Floats, strings and booleans
+    are refused rather than truncated or coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class DivClass:
     """A divisor class p*H + q*F, stored as a plain integer pair."""
@@ -38,7 +46,7 @@ class DivClass:
     def from_json(data) -> "DivClass":
         if not (isinstance(data, (list, tuple)) and len(data) == 2):
             raise ValueError(f"divisor class must be a two-element array, got {data!r}")
-        return DivClass(int(data[0]), int(data[1]))
+        return DivClass(*(json_int(v, "divisor class entry") for v in data))
 
 
 ZERO = DivClass(0, 0)
@@ -111,7 +119,8 @@ class Scroll:
     @staticmethod
     def from_json(data) -> "Scroll":
         try:
-            return make_scroll(int(data["m"]), int(data["n"]), [int(x) for x in data["a"]])
+            return make_scroll(json_int(data["m"], "scroll 'm'"), json_int(data["n"], "scroll 'n'"),
+                               [json_int(x, "scroll twist") for x in data["a"]])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"scroll descriptor must look like {{'m':1,'n':1,'a':[1,2]}}: {exc}")
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .cohomology import SplitBundle, bundle_cohom, choose
 from .complexes import omega_cohom
-from .scroll import ZERO, DivClass, Scroll
+from .scroll import ZERO, DivClass, Scroll, json_int
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class SheafSpec:
         try:
             if "split" in data:
                 return SheafSpec("split", split=SplitBundle.from_json(data["split"]))
-            return SheafSpec.from_omega(int(data["omega"]["i"]), DivClass.from_json(data["omega"]["twist"]))
+            return SheafSpec.from_omega(json_int(data["omega"]["i"], "omega 'i'"),
+                                        DivClass.from_json(data["omega"]["twist"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"sheaf descriptor must look like {{'split':[[0,0]]}} or "
                              f"{{'omega':{{'i':1,'twist':[0,0]}}}}: {exc}")

@@ -31,8 +31,12 @@ The m = 1 special forms ("c2.5", "c2.6", "c2.7") drop the conditions that
 are vacuous or subsumed on rational normal scrolls.
 
 'For every integer t' is decided over the sound finite window of
-:func:`scrollcohom.windows.nonvanishing_window`; the test suite re-checks
-all conditions at the window margins.
+:func:`scrollcohom.windows.nonvanishing_window`, evaluating each condition
+only at the twists inside its own intervals from
+:func:`scrollcohom.windows.cond_t_intervals`: outside them it provably
+vanishes.  For a split sheaf those intervals are exact, so every evaluation
+is a witness.  The test suite re-checks all conditions at the window margins
+and compares the result with a scan of every condition at every t.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .cohomology import SplitBundle
 from .regularity import RegResult, reg_detail
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec
-from .windows import Cond, eval_cond, nonvanishing_window
+from .windows import Cond, cond_t_intervals, eval_cond, nonvanishing_window
 
 THEOREM_IDS = ("2.1", "2.2", "2.3", "c2.5", "c2.6", "c2.7")
 
@@ -192,14 +196,16 @@ def indecomposable_hypotheses(x: Scroll, rns: bool = False) -> list[Cond]:
 
 def _scan_window(x: Scroll, spec: SheafSpec, conds: list[Cond], theorem: str) -> SplittingReport:
     lo, hi = nonvanishing_window(x, spec, conds)
+    todo = {(t, i) for i, cond in enumerate(conds) for a, b in cond_t_intervals(x, spec, cond)
+            for t in range(max(lo, a), min(hi, b) + 1)}
     witnesses = []
-    for t in range(lo, hi + 1):
-        for cond in conds:
-            h = eval_cond(x, spec, cond, t)
-            if h:
-                witnesses.append(Witness(cond.label, t, cond.idx,
-                                         DivClass(t + cond.dp, cond.dq),
-                                         "dual" if cond.dual else "E", h))
+    for t, i in sorted(todo):
+        cond = conds[i]
+        h = eval_cond(x, spec, cond, t)
+        if h:
+            witnesses.append(Witness(cond.label, t, cond.idx,
+                                     DivClass(t + cond.dp, cond.dq),
+                                     "dual" if cond.dual else "E", h))
     return SplittingReport(theorem, not witnesses, tuple(witnesses), window=(lo, hi))
 
 

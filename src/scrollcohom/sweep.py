@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .regularity import compare_regularities, reg_detail
-from .scroll import DivClass, Scroll, make_scroll
+from .scroll import DivClass, Scroll, json_int, make_scroll
 from .sheaves import SheafSpec, sheaf_cohom
 
 ENGINE_TAG = "scrollcohom-0.1.0"  # part of every record key: bump it when any stored result changes
@@ -41,8 +41,9 @@ def enumerate_family(family: dict) -> list[Scroll]:
     Enumerates all scrolls with the given dimensions and nondecreasing
     twists in [a_min, a_max]."""
     try:
-        ms, ns = [int(m) for m in family["m"]], [int(n) for n in family["n"]]
-        lo, hi = int(family["a_min"]), int(family["a_max"])
+        ms = [json_int(v, "family 'm' entry") for v in family["m"]]
+        ns = [json_int(v, "family 'n' entry") for v in family["n"]]
+        lo, hi = json_int(family["a_min"], "family 'a_min'"), json_int(family["a_max"], "family 'a_max'")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"family descriptor must look like {{'m':[1],'n':[1,2],'a_min':1,'a_max':3}}: {exc}")
     out = []
@@ -156,7 +157,11 @@ def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | No
             _canon(rec["inputs"]).replace(",", ";"),
             _summary(rec["op"], rec["result"]).replace(",", ";"),
         ]))
-    csv_text = "\n".join(lines) + "\n"
-    csv_path.write_text(csv_text)
+    tmp_path = out / f".summary.csv.{os.getpid()}.tmp"  # replaced whole, so a crash never tears the CSV
+    try:
+        tmp_path.write_text("\n".join(lines) + "\n")
+        os.replace(tmp_path, csv_path)
+    finally:
+        tmp_path.unlink(missing_ok=True)
     return {"cells": len(cells), "fresh": fresh, "cached": len(cells) - fresh,
             "records": str(records_path), "csv": str(csv_path)}

@@ -570,7 +570,12 @@ SUITES = {
 
 
 def run_suites(names=None) -> list[CheckResult]:
+    """Run the named suites (all by default).  A suite that raises is
+    recorded as one failed 'suite-raised' check and the rest still run."""
     results = []
     for name in names or SUITES:
-        results.extend(SUITES[name]())
+        try:
+            results.extend(SUITES[name]())
+        except Exception as exc:  # one broken check must not hide the others
+            results.append(CheckResult(name, "suite-raised", False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -9,9 +9,16 @@ half-infinite):
     degree n      [-n-1-A, -n-1]  with  A = floor((-m-1-b)/a_0), b = c-q-1-m
     degree n+m    (-inf, -n-1-max(0, ceil(-b/a_n))]
 
+When m = n, degree m needs q <= -m-1 and degree n needs q >= c, so each set
+above is exactly one interval.
+
 Splitting criteria only quantify conditions in middle degrees, so per
-summand every condition has a finite nonvanishing interval and the union is
-a finite window; outside it every condition vanishes identically.  Sheaves
+summand every condition has a finite nonvanishing interval;
+:func:`cond_t_intervals` lists them per condition.  Their union is exactly
+where the condition is nonzero for a split sheaf (h^k of a sum adds
+nonnegative terms) and a superset of it for a cotangent twist (whose
+intervals come from its resolution terms).  The window is their hull over
+all conditions; outside it every condition vanishes identically.  Sheaves
 presented by complexes are bounded per term with the homological shift as
 slack.  The window additionally hulls in each summand's section/top
 cohomology transition range so that it always covers the twists where the
@@ -45,8 +52,9 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def line_h_interval(x: Scroll, k: int, q: int):
-    """Hull of {P : h^k(O(P*H + q*F)) != 0}, or None when empty.
+    """{P : h^k(O(P*H + q*F)) != 0} as an interval, or None when empty.
 
+    The set is exactly this interval (see the module docstring for m = n).
     Requires a positive scroll so the middle-degree pieces are finite.
     """
     if not x.is_positive:
@@ -102,9 +110,10 @@ def cond_t_intervals(x: Scroll, spec: SheafSpec, cond: Cond) -> list[tuple[float
     Per piece (a summand, or a resolution term at homological position pos)
     the condition's group can be nonzero only where degree k - pos of the
     piece is, so the union of these intervals contains the true
-    nonvanishing set.  For complex-backed sheaves the pieces with
-    k - pos = 0 are half-infinite; :func:`cond_t_interval` intersects with
-    the Serre-dual bound to recover a finite window.
+    nonvanishing set; for a split sheaf (all pieces at pos = 0, adding
+    nonnegative terms) it equals that set.  For complex-backed sheaves the
+    pieces with k - pos = 0 are half-infinite; :func:`cond_t_interval`
+    intersects with the Serre-dual bound to recover a finite window.
     """
     target = spec.dual(x) if cond.dual else spec
     out = []

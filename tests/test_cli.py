@@ -121,6 +121,41 @@ def test_malformed_descriptor_is_an_error(capsys, argv):
     assert code == 1 and err.startswith("error: ") and "must look like" in err
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("place", ["divisor-class", "scroll", "omega-index", "family"])
+def test_non_integer_json_field_is_an_error(capsys, tmp_path, place, bad):
+    v = json.dumps(bad)
+    argv = {
+        "divisor-class": ["cohom", "--scroll", SCROLL, "--sheaf", f'{{"split":[[0,{v}]]}}'],
+        "scroll": ["cohom", "--scroll", f'{{"m":1,"n":1,"a":[1,{v}]}}', "--sheaf", O],
+        "omega-index": ["cohom", "--scroll", SCROLL, "--sheaf", f'{{"omega":{{"i":{v},"twist":[0,0]}}}}'],
+        "family": ["sweep", "--family", f'{{"m":[1],"n":[1],"a_min":1,"a_max":{v}}}',
+                   "--out", str(tmp_path / "out")],
+    }[place]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "must be an integer" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_keeps_going_when_a_suite_raises(capsys, monkeypatch):
+    from scrollcohom import verify
+
+    def broken():
+        raise RuntimeError("boom")
+
+    for name in verify.SUITES:  # cheap stand-ins; the real suites run in test_verify_suites
+        monkeypatch.setitem(verify.SUITES, name, lambda name=name: [verify.CheckResult(name, "stub", True)])
+    monkeypatch.setitem(verify.SUITES, "koszul", broken)
+    code, out, _ = run(capsys, "verify")
+    lines = out.splitlines()
+    assert code == 1
+    assert "FAIL koszul/suite-raised  [RuntimeError: boom]" in lines
+    assert [f"PASS {name}/stub" for name in verify.SUITES if name != "koszul"] == \
+        [line for line in lines if line.startswith("PASS")]
+    assert lines[-1] == f"CHECKS FAILED ({len(verify.SUITES) - 1}/{len(verify.SUITES)})"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "scroll-core")
     assert code == 0

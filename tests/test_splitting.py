@@ -1,8 +1,14 @@
+import itertools
+
 import pytest
 
 from scrollcohom import (DivClass, SheafSpec, check_indecomposable, check_ohf, check_pure_h,
-                         check_rns, check_theorem, ground_truth_classify, make_scroll, sheaf_h)
+                         check_rns, check_theorem, ground_truth_classify, make_scroll,
+                         nonvanishing_window, sheaf_h)
 from scrollcohom.cohomology import SplitBundle
+from scrollcohom.splitting import (SplittingReport, Witness, ohf_conditions, pure_h_conditions,
+                                   rns_ohf_conditions, rns_pure_h_conditions)
+from scrollcohom.windows import eval_cond
 
 X12 = make_scroll(1, 1, [1, 2])
 X112 = make_scroll(1, 2, [1, 1, 2])
@@ -106,3 +112,70 @@ def test_check_theorem_dispatch():
     assert check_theorem(X12, SheafSpec.from_split([(0, 0)]), "2.1").verdict
     assert check_theorem(X12, SheafSpec.from_split([(0, 0)]), "c2.6").verdict
     assert check_theorem(X12, SheafSpec.from_split([(0, 0)]), "2.3").conclusion == "O"
+
+
+# -- the interval scan against a scan of every condition at every t ---------
+
+SCAN_CONDITIONS = {"2.1": pure_h_conditions, "2.2": ohf_conditions,
+                   "c2.5": rns_pure_h_conditions, "c2.6": rns_ohf_conditions}
+BOX = [(p, q) for p in range(-2, 3) for q in range(-2, 3)]
+SPLIT_SCROLLS = (X12, make_scroll(1, 1, [1, 1]), make_scroll(2, 1, [1, 3]))
+
+
+def _scan_theorems(x):
+    return [th for th in SCAN_CONDITIONS if x.m == 1 or not th.startswith("c")]
+
+
+def _full_window_scan(x, spec, theorem):
+    """The reference: every condition at every t of the window."""
+    conds = SCAN_CONDITIONS[theorem](x)
+    lo, hi = nonvanishing_window(x, spec, conds)
+    witnesses = [Witness(c.label, t, c.idx, DivClass(t + c.dp, c.dq), "dual" if c.dual else "E", h)
+                 for t in range(lo, hi + 1) for c in conds for h in [eval_cond(x, spec, c, t)] if h]
+    return SplittingReport(theorem, not witnesses, tuple(witnesses), window=(lo, hi)).to_json()
+
+
+def _split_specs(box):
+    return [SheafSpec.from_split(summands)
+            for r in (1, 2) for summands in itertools.combinations_with_replacement(box, r)]
+
+
+def _omega_specs(x, twists):
+    return [SheafSpec.from_omega(i, DivClass(*t)) for i in range(x.n + 1) for t in twists]
+
+
+# The full [-2,2]^2 grid of Omega twists on P(O(1)+O(2)+O(3)) over P^2 takes about
+# two minutes under the reference scan (Omega^1(-2, q) alone about 10 s each), so
+# that scroll runs three twists; P(O(1)+O(1)+O(2)) over P^1 runs the full grid.
+X123 = make_scroll(2, 2, [1, 2, 3])
+SCAN_CATALOG = [(x, _split_specs(BOX)) for x in SPLIT_SCROLLS] + [
+    (X112, _omega_specs(X112, BOX)), (X123, _omega_specs(X123, [(0, 0), (1, -1), (2, -2)]))]
+
+
+@pytest.mark.parametrize("x, specs", SCAN_CATALOG,
+                         ids=[f"{x}-{specs[0].kind}" for x, specs in SCAN_CATALOG])
+def test_interval_scan_matches_full_window_scan(x, specs):
+    for spec in specs:
+        for theorem in _scan_theorems(x):
+            assert check_theorem(x, spec, theorem).to_json() == _full_window_scan(x, spec, theorem), \
+                (spec.describe(), theorem)
+
+
+def test_split_scan_evaluates_only_witnesses(monkeypatch):
+    from scrollcohom import splitting
+
+    calls = []
+
+    def counting_eval(*args):
+        calls.append(args)
+        return eval_cond(*args)
+
+    monkeypatch.setattr(splitting, "eval_cond", counting_eval)
+    some_witness = False
+    for x, spec in itertools.product(SPLIT_SCROLLS, _split_specs(BOX)):
+        for theorem in _scan_theorems(x):
+            calls.clear()
+            report = check_theorem(x, spec, theorem)
+            assert len(calls) == len(report.witnesses)
+            some_witness = some_witness or bool(report.witnesses)
+    assert some_witness

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +91,23 @@ def test_store_from_another_engine_is_recomputed(tmp_path, monkeypatch):
         first = run_sweep(*args)
     again = run_sweep(*args)
     assert again["fresh"] == again["cells"] == first["cells"] > 0
+
+
+def test_sweep_csv_is_replaced_whole(tmp_path, monkeypatch):
+    args = ({"m": [1], "n": [1], "a_min": 1, "a_max": 2}, ["reg"], {"split": [[0, 0]]},
+            (0, 0), (0, 0), str(tmp_path))
+    run_sweep(*args)
+    csv = tmp_path / "summary.csv"
+    csv_first = csv.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl", "summary.csv"]
+
+    def torn_write(path, text):  # a crash after part of the text reached the disk
+        with open(path, "w") as fh:
+            fh.write(text[:20])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(*args)
+    assert csv.read_bytes() == csv_first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl", "summary.csv"]

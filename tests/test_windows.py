@@ -30,6 +30,22 @@ def test_line_h_interval_is_sharp_hull():
                     assert iv[0] <= p <= iv[1]
 
 
+@pytest.mark.parametrize("x", [X12, make_scroll(1, 1, [1, 1]), make_scroll(2, 2, [1, 2, 3]),
+                               make_scroll(2, 1, [1, 3]), make_scroll(0, 2, [1, 1, 1]),
+                               make_scroll(2, 0, [2])], ids=str)
+def test_line_h_interval_is_exact(x):
+    # every P inside the interval is nonzero, not only every nonzero P inside the
+    # hull: the "for every t" scan evaluates split sheaves only inside these
+    from scrollcohom import line_cohom
+
+    for k in range(x.dim + 1):
+        for q in range(-6, 7):
+            iv = line_h_interval(x, k, q)
+            inside = {p for p in range(-15, 16) if iv is not None and iv[0] <= p <= iv[1]}
+            nonzero = {p for p in range(-15, 16) if line_cohom(x, DivClass(p, q))[k]}
+            assert inside == nonzero, (k, q, iv)
+
+
 def test_non_positive_scroll_rejected():
     with pytest.raises(ValueError):
         line_h_interval(make_scroll(1, 1, [0, 2]), 0, 0)
