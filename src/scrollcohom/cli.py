@@ -49,6 +49,13 @@ def _pair(text: str, what: str) -> tuple[int, int]:
         raise UsageError(f"{what} must look like '-3,1'")
 
 
+def _range(text: str, what: str) -> tuple[int, int]:
+    lo, hi = _pair(text, what)
+    if lo > hi:
+        raise UsageError(f"{what} must have lo <= hi, got {lo}:{hi}")
+    return lo, hi
+
+
 def _emit(payload):
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -73,7 +80,7 @@ def _cmd_cohom(args) -> int:
 def _cmd_table(args) -> int:
     x = _scroll_arg(args.scroll)
     spec = _sheaf_arg(args.sheaf)
-    pbox, qbox = _pair(args.pbox, "--pbox"), _pair(args.qbox, "--qbox")
+    pbox, qbox = _range(args.pbox, "--pbox"), _range(args.qbox, "--qbox")
     rows = []
     for p in range(pbox[0], pbox[1] + 1):
         for q in range(qbox[0], qbox[1] + 1):
@@ -90,7 +97,7 @@ def _cmd_table(args) -> int:
 def _cmd_reg(args) -> int:
     x = _scroll_arg(args.scroll)
     spec = _sheaf_arg(args.sheaf)
-    scan = _pair(args.scan, "--scan") if args.scan else None
+    scan = _range(args.scan, "--scan") if args.scan else None
     _emit(reg_detail(x, spec, scan).to_json())
     return 0
 
@@ -114,7 +121,7 @@ def _cmd_pqreg(args) -> int:
 def _cmd_compare(args) -> int:
     x = _scroll_arg(args.scroll)
     spec = _sheaf_arg(args.sheaf)
-    rep = compare_regularities(x, spec, _pair(args.pbox, "--pbox"), _pair(args.qbox, "--qbox"))
+    rep = compare_regularities(x, spec, _range(args.pbox, "--pbox"), _range(args.qbox, "--qbox"))
     _emit(rep.to_json())
     return 0
 
@@ -162,8 +169,8 @@ def _cmd_sweep(args) -> int:
     for op in ops:
         if op not in SWEEP_OPS:
             raise UsageError(f"unknown op {op!r}; choose from {', '.join(SWEEP_OPS)}")
-    summary = run_sweep(family, ops, sheaf, _pair(args.pbox, "--pbox"),
-                        _pair(args.qbox, "--qbox"), args.out)
+    summary = run_sweep(family, ops, sheaf, _range(args.pbox, "--pbox"),
+                        _range(args.qbox, "--qbox"), args.out)
     _emit(summary)
     return 0
 

@@ -27,16 +27,19 @@ vanishing conditions against a catalog sheaf:
   j = m it would coincide with the (iii)/(iv) detectors themselves and no
   bundle could ever reach those conclusions.
 
-The m = 1 special forms ("c2.5", "c2.6", "c2.7") drop the conditions that
-are vacuous or subsumed on rational normal scrolls.
+The m = 1 special forms read the general lists: "c2.5" scans the 2.1
+conditions as they are, and "c2.6" and "c2.7" are 2.2 and 2.3 without
+their (c) conditions (c1/c2 in 2.3).
 
-'For every integer t' is decided over the sound finite window of
-:func:`scrollcohom.windows.nonvanishing_window`, evaluating each condition
-only at the twists inside its own intervals from
-:func:`scrollcohom.windows.cond_t_intervals`: outside them it provably
-vanishes.  For a split sheaf those intervals are exact, so every evaluation
-is a witness.  The test suite re-checks all conditions at the window margins
-and compares the result with a scan of every condition at every t.
+'For every integer t' is decided by one interval pass per check,
+:func:`scrollcohom.windows.window_pass`: it gives each condition's own
+t-intervals, outside of which the condition provably vanishes, and the
+sound finite window, the hull of those same intervals (and of the anchors).
+Each condition is evaluated only at the twists inside its intervals,
+clipped to the window.  For a split sheaf those intervals are exact, so
+every evaluation is a witness.  The test suite re-checks all conditions at
+the window margins and compares the result with a scan of every condition
+at every t.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .cohomology import SplitBundle
 from .regularity import RegResult, reg_detail
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec
-from .windows import Cond, cond_t_intervals, eval_cond, nonvanishing_window
+from .windows import Cond, eval_cond, window_pass
 
 THEOREM_IDS = ("2.1", "2.2", "2.3", "c2.5", "c2.6", "c2.7")
 
@@ -140,44 +143,23 @@ def ohf_conditions(x: Scroll) -> list[Cond]:
     return conds
 
 
-def rns_pure_h_conditions(x: Scroll) -> list[Cond]:
-    conds = [Cond("a", x.n, 0, x.c - 1, idx=(0,))]
-    for j in (0, 1):
-        for i in range(x.n):
-            if (i, j) != (0, 0):
-                conds.append(Cond("b", i + j, 0, i - j, idx=(i, j)))
-    return conds
-
-
 def rns_ohf_conditions(x: Scroll) -> list[Cond]:
-    conds = []
-    for j in (0, 1):
-        for i in range(x.n):
-            if (i, j) not in ((0, 0), (0, 1)):
-                conds.append(Cond("b", i + j, 0, i - j, idx=(i, j)))
-    for r, a_i in subset_values(x):
-        conds.append(Cond("d", r, 0, a_i - 1, idx=(r, a_i)))
-        conds.append(Cond("d", r, 0, a_i - 1, dual=True, idx=(r, a_i)))
-    return conds
+    return [c for c in ohf_conditions(x) if c.label != "c"]
 
 
-def indecomposable_hypotheses(x: Scroll, rns: bool = False) -> list[Cond]:
+def indecomposable_hypotheses(x: Scroll) -> list[Cond]:
     conds = []
-    if not rns:
-        for j in range(1, x.m):
-            conds.append(Cond("a", x.n + j, -(x.n + 1), x.c - j - 1, idx=(j,)))
-        for j in range(1, x.m):  # first equality of (b); j = m is the detector row
-            for i in range(x.n):
-                conds.append(Cond("b1", i + j, -(i + 1), i - j, idx=(i, j)))
-        for j in range(1, x.m + 1):
-            for i in range(x.n):
-                conds.append(Cond("b2", i + j, -(i + 1), i - j + 1, idx=(i, j)))
-        for j in range(x.m):
-            conds.append(Cond("c1", j + 1, 0, -j, dual=True, idx=(j,)))
-            conds.append(Cond("c2", j + 1, -1, -j, idx=(j,)))
-    else:
+    for j in range(1, x.m):
+        conds.append(Cond("a", x.n + j, -(x.n + 1), x.c - j - 1, idx=(j,)))
+    for j in range(1, x.m):  # first equality of (b); j = m is the detector row
         for i in range(x.n):
-            conds.append(Cond("b2", i + 1, -(i + 1), i, idx=(i, 1)))
+            conds.append(Cond("b1", i + j, -(i + 1), i - j, idx=(i, j)))
+    for j in range(1, x.m + 1):
+        for i in range(x.n):
+            conds.append(Cond("b2", i + j, -(i + 1), i - j + 1, idx=(i, j)))
+    for j in range(x.m):
+        conds.append(Cond("c1", j + 1, 0, -j, dual=True, idx=(j,)))
+        conds.append(Cond("c2", j + 1, -1, -j, idx=(j,)))
     for r, a_i in subset_values(x):
         conds.append(Cond("d1", r, -r, a_i - 1, idx=(r, a_i)))
         conds.append(Cond("d2", r, -r + 1, a_i - 1, dual=True, idx=(r, a_i)))
@@ -195,8 +177,8 @@ def indecomposable_hypotheses(x: Scroll, rns: bool = False) -> list[Cond]:
 
 
 def _scan_window(x: Scroll, spec: SheafSpec, conds: list[Cond], theorem: str) -> SplittingReport:
-    lo, hi = nonvanishing_window(x, spec, conds)
-    todo = {(t, i) for i, cond in enumerate(conds) for a, b in cond_t_intervals(x, spec, cond)
+    (lo, hi), intervals = window_pass(x, spec, conds)
+    todo = {(t, i) for i, ivs in enumerate(intervals) for a, b in ivs
             for t in range(max(lo, a), min(hi, b) + 1)}
     witnesses = []
     for t, i in sorted(todo):
@@ -262,7 +244,9 @@ def check_indecomposable(x: Scroll, spec: SheafSpec, rns: bool = False) -> Split
     if reg_res.value != 0:
         pre = (f"Reg(E) = {reg_res.value}, hypothesis needs 0",)
     witnesses = []
-    for cond in indecomposable_hypotheses(x, rns=rns):
+    for cond in indecomposable_hypotheses(x):
+        if rns and cond.label in ("c1", "c2"):
+            continue
         h = eval_cond(x, spec, cond)
         if h:
             witnesses.append(Witness(cond.label, None, cond.idx,
@@ -280,7 +264,7 @@ def check_rns(x: Scroll, spec: SheafSpec, which: str) -> SplittingReport:
         raise ValueError("the rational normal scroll criteria need base dimension 1")
     _require_splitting_scroll(x)
     if which == "c2.5":
-        return _scan_window(x, spec, rns_pure_h_conditions(x), "c2.5")
+        return _scan_window(x, spec, pure_h_conditions(x), "c2.5")
     if which == "c2.6":
         return _scan_window(x, spec, rns_ohf_conditions(x), "c2.6")
     if which == "c2.7":

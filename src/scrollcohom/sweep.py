@@ -46,6 +46,8 @@ def enumerate_family(family: dict) -> list[Scroll]:
         lo, hi = json_int(family["a_min"], "family 'a_min'"), json_int(family["a_max"], "family 'a_max'")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"family descriptor must look like {{'m':[1],'n':[1,2],'a_min':1,'a_max':3}}: {exc}")
+    if lo > hi:
+        raise ValueError(f"family needs a_min <= a_max, got {lo} > {hi}")
     out = []
     for m in ms:
         for n in ns:

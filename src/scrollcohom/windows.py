@@ -13,16 +13,15 @@ When m = n, degree m needs q <= -m-1 and degree n needs q >= c, so each set
 above is exactly one interval.
 
 Splitting criteria only quantify conditions in middle degrees, so per
-summand every condition has a finite nonvanishing interval;
-:func:`cond_t_intervals` lists them per condition.  Their union is exactly
-where the condition is nonzero for a split sheaf (h^k of a sum adds
-nonnegative terms) and a superset of it for a cotangent twist (whose
-intervals come from its resolution terms).  The window is their hull over
-all conditions; outside it every condition vanishes identically.  Sheaves
-presented by complexes are bounded per term with the homological shift as
-slack.  The window additionally hulls in each summand's section/top
-cohomology transition range so that it always covers the twists where the
-sheaf itself lives.
+summand every condition has a finite nonvanishing interval.  A check makes
+one pass, :func:`window_pass`: it builds the pieces of E and E^dual once and
+lists each condition's intervals.  Their union is exactly where the
+condition is nonzero for a split sheaf (h^k of a sum adds nonnegative terms)
+and a superset of it for a cotangent twist (whose intervals come from its
+resolution terms, the homological shift as slack).  The window is the hull
+of those same intervals, hulled with each piece's section/top cohomology
+transition (the anchors) so that it covers the twists where the sheaf
+itself lives; outside it every condition vanishes identically.
 """
 
 from __future__ import annotations
@@ -104,6 +103,18 @@ def _spec_pieces(x: Scroll, spec: SheafSpec):
     return [(pos, sm.cls) for pos, term in zip(c.positions, c.terms) for sm in term]
 
 
+def _intervals(x: Scroll, pieces, k: int, dp: int, dq: int) -> list[tuple[float, float]]:
+    """Per piece (pos, cls): the t-interval where degree k - pos of
+    cls<t + dp, dq> is nonzero."""
+    out = []
+    for pos, cls in pieces:
+        if 0 <= k - pos <= x.dim:
+            iv = line_h_interval(x, k - pos, cls.q + dq)
+            if iv is not None:
+                out.append((iv[0] - cls.p - dp, iv[1] - cls.p - dp))
+    return out
+
+
 def cond_t_intervals(x: Scroll, spec: SheafSpec, cond: Cond) -> list[tuple[float, float]]:
     """t-intervals outside of which the condition surely vanishes.
 
@@ -111,94 +122,59 @@ def cond_t_intervals(x: Scroll, spec: SheafSpec, cond: Cond) -> list[tuple[float
     the condition's group can be nonzero only where degree k - pos of the
     piece is, so the union of these intervals contains the true
     nonvanishing set; for a split sheaf (all pieces at pos = 0, adding
-    nonnegative terms) it equals that set.  For complex-backed sheaves the
-    pieces with k - pos = 0 are half-infinite; :func:`cond_t_interval`
-    intersects with the Serre-dual bound to recover a finite window.
+    nonnegative terms) it equals that set.  :func:`window_pass` computes the
+    same intervals for a whole condition family in one pass.
     """
     target = spec.dual(x) if cond.dual else spec
-    out = []
-    for pos, cls in _spec_pieces(x, target):
-        k = cond.k - pos
-        if not 0 <= k <= x.dim:
+    return _intervals(x, _spec_pieces(x, target), cond.k, cond.dp, cond.dq)
+
+
+def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[tuple[int, int], list]:
+    """One pass over a condition family: ((t_lo, t_hi), intervals), where
+    intervals[i] is :func:`cond_t_intervals` of conds[i] and every condition
+    vanishes for all t outside the window [t_lo, t_hi].
+
+    The pieces of E and E^dual are built once.  The window is the hull of
+    each condition's intervals and of the anchors.  A half-infinite hull
+    (a piece with k - pos = 0 or dim) is cut by Serre duality:
+    h^k(S<t+dp, dq>) = h^{dim-k}(S^dual<K - (t+dp, dq)>), whose intervals
+    run in the opposite t-direction, so the intersection is finite.
+    Raises on non-positive scrolls or if a condition stays unbounded.
+    """
+    pieces = {False: _spec_pieces(x, spec), True: _spec_pieces(x, spec.dual(x))}
+    kx = x.canonical_class()
+    intervals, hulls = [], []
+    for cond in conds:
+        ivs = _intervals(x, pieces[cond.dual], cond.k, cond.dp, cond.dq)
+        intervals.append(ivs)
+        if not ivs:
             continue
-        iv = line_h_interval(x, k, cls.q + cond.dq)
-        if iv is not None:
-            out.append((iv[0] - cls.p - cond.dp, iv[1] - cls.p - cond.dp))
-    return out
-
-
-def _hull(ivs) -> tuple[float, float] | None:
-    if not ivs:
-        return None
-    return min(iv[0] for iv in ivs), max(iv[1] for iv in ivs)
-
-
-def cond_t_interval(x: Scroll, spec: SheafSpec, cond: Cond) -> tuple[int, int] | None:
-    """Finite hull of the t-set where the condition can be nonzero, or None
-    when it vanishes identically.
-
-    h^k(S<t+dp, dq>) = h^{dim-k}(S_dual <K - (t+dp, dq)>) by Serre duality,
-    and the dual-side bound runs in the opposite t-direction, so the
-    intersection of the two piecewise bounds is always finite.
-    """
-    target = spec.dual(x) if cond.dual else spec
-    hull = _hull(cond_t_intervals(x, spec, cond))
-    if hull is None:
-        return None
-    lo, hi = hull
-    if lo == -INF or hi == INF:
-        k_dual = x.dim - cond.k
-        kx = x.canonical_class()
-        dual_ivs = []
-        for pos, cls in _spec_pieces(x, target.dual(x)):
-            k = k_dual - pos
-            if not 0 <= k <= x.dim:
+        lo, hi = min(iv[0] for iv in ivs), max(iv[1] for iv in ivs)
+        if lo == -INF or hi == INF:
+            # the Serre-dual intervals, reflected t -> -t
+            dual = _intervals(x, pieces[not cond.dual], x.dim - cond.k, kx.p - cond.dp, kx.q - cond.dq)
+            if not dual:
                 continue
-            iv = line_h_interval(x, k, cls.q + kx.q - cond.dq)
-            if iv is not None:
-                # piece H-coefficient is cls.p + kx.p - dp - t, decreasing in t
-                shift = cls.p + kx.p - cond.dp
-                dual_ivs.append((shift - iv[1], shift - iv[0]))
-        dual_hull = _hull(dual_ivs)
-        if dual_hull is None:
-            return None
-        lo, hi = max(lo, dual_hull[0]), min(hi, dual_hull[1])
-        if lo > hi:
-            return None
-    if lo == -INF or hi == INF:
-        raise ValueError(f"no finite bound for condition {cond}")
-    return int(lo), int(hi)
-
-
-def _anchors(x: Scroll, spec: SheafSpec, with_dual: bool) -> list[tuple[float, float]]:
-    out = []
-    specs = [spec, spec.dual(x)] if with_dual else [spec]
-    for sp in specs:
-        pieces = _spec_pieces(x, sp)
-        slack = max(abs(pos) for pos, _ in pieces) if sp.kind == "omega" else 0
-        for _, cls in pieces:
-            lo_iv = line_h_interval(x, x.dim, cls.q)
-            hi_iv = line_h_interval(x, 0, cls.q)
-            out.append((lo_iv[1] - cls.p - slack, hi_iv[0] - cls.p + slack))
-    return out
+            lo, hi = max(lo, -max(iv[1] for iv in dual)), min(hi, -min(iv[0] for iv in dual))
+            if lo > hi:
+                continue
+            if lo == -INF or hi == INF:
+                raise ValueError(f"no finite bound for condition {cond}")
+        hulls.append((lo, hi))
+    # anchors: each piece's section/top cohomology transition, so the window
+    # covers the twists where the sheaf itself lives
+    for side in (False, True) if any(c.dual for c in conds) else (False,):
+        slack = max(abs(pos) for pos, _ in pieces[side]) if spec.kind == "omega" else 0
+        for _, cls in pieces[side]:
+            hulls.append((line_h_interval(x, x.dim, cls.q)[1] - cls.p - slack,
+                          line_h_interval(x, 0, cls.q)[0] - cls.p + slack))
+    return (int(min(h[0] for h in hulls)), int(max(h[1] for h in hulls))), intervals
 
 
 def nonvanishing_window(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[int, int]:
     """Finite [t_lo, t_hi] such that every condition in the family vanishes
-    for all t outside.  Raises on non-positive scrolls or if some condition
-    has an unbounded nonvanishing range (a degree 0 or n+m condition)."""
-    ivs = []
-    with_dual = any(c.dual for c in conds)
-    for cond in conds:
-        iv = cond_t_interval(x, spec, cond)
-        if iv is not None:
-            ivs.append(iv)
-    ivs.extend(_anchors(x, spec, with_dual))
-    lo = min(iv[0] for iv in ivs)
-    hi = max(iv[1] for iv in ivs)
-    if lo == -INF or hi == INF:
-        raise ValueError("condition family has an unbounded nonvanishing range")
-    return int(lo), int(hi)
+    for all t outside: the window half of :func:`window_pass`."""
+    return window_pass(x, spec, conds)[0]
 
 
 def eval_cond(x: Scroll, spec: SheafSpec, cond: Cond, t: int = 0) -> int:

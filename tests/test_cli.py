@@ -160,3 +160,21 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "scroll-core")
     assert code == 0
     assert "PASS scroll-core/serre-dual-involution" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["reg", "--scroll", SCROLL, "--sheaf", O, "--scan", "5:1"], 2),
+    (["compare", "--scroll", F2, "--sheaf", O, "--pbox=2:-2", "--qbox=-1:1"], 2),
+    (["compare", "--scroll", F2, "--sheaf", O, "--pbox=-1:1", "--qbox=1:-1"], 2),
+    (["table", "--scroll", SCROLL, "--sheaf", O, "--pbox", "3:1", "--qbox", "0:0"], 2),
+    (["sweep", "--family", '{"m":[1],"n":[1],"a_min":1,"a_max":2}', "--pbox", "1:0"], 2),
+    (["sweep", "--family", '{"m":[1],"n":[1],"a_min":3,"a_max":1}'], 1),
+], ids=["reg-scan", "compare-pbox", "compare-qbox", "table-pbox", "sweep-pbox", "sweep-family"])
+def test_reversed_range_is_an_error(capsys, tmp_path, argv, code):
+    out_dir = tmp_path / "out"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out_dir)]
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("usage error: " if code == 2 else "error: ")
+    assert not out_dir.exists()

@@ -7,7 +7,7 @@ from scrollcohom import (DivClass, SheafSpec, check_indecomposable, check_ohf, c
                          nonvanishing_window, sheaf_h)
 from scrollcohom.cohomology import SplitBundle
 from scrollcohom.splitting import (SplittingReport, Witness, ohf_conditions, pure_h_conditions,
-                                   rns_ohf_conditions, rns_pure_h_conditions)
+                                   rns_ohf_conditions)
 from scrollcohom.windows import eval_cond
 
 X12 = make_scroll(1, 1, [1, 2])
@@ -117,7 +117,7 @@ def test_check_theorem_dispatch():
 # -- the interval scan against a scan of every condition at every t ---------
 
 SCAN_CONDITIONS = {"2.1": pure_h_conditions, "2.2": ohf_conditions,
-                   "c2.5": rns_pure_h_conditions, "c2.6": rns_ohf_conditions}
+                   "c2.5": pure_h_conditions, "c2.6": rns_ohf_conditions}
 BOX = [(p, q) for p in range(-2, 3) for q in range(-2, 3)]
 SPLIT_SCROLLS = (X12, make_scroll(1, 1, [1, 1]), make_scroll(2, 1, [1, 3]))
 
@@ -179,3 +179,25 @@ def test_split_scan_evaluates_only_witnesses(monkeypatch):
             assert len(calls) == len(report.witnesses)
             some_witness = some_witness or bool(report.witnesses)
     assert some_witness
+
+
+def test_split_check_builds_the_dual_once(monkeypatch):
+    # one window pass per check: E^dual is built once, and again only by the
+    # evaluation of each dual-side witness
+    dual = SheafSpec.dual
+    calls = []
+
+    def counting_dual(self, x):
+        calls.append(self)
+        return dual(self, x)
+
+    monkeypatch.setattr(SheafSpec, "dual", counting_dual)
+    dual_witnesses = 0
+    for x, spec in itertools.product(SPLIT_SCROLLS, _split_specs(BOX)):
+        for theorem in ("2.1", "2.2"):
+            calls.clear()
+            report = check_theorem(x, spec, theorem)
+            n_dual = sum(w.side == "dual" for w in report.witnesses)
+            assert len(calls) <= 1 + n_dual, (spec.describe(), theorem, len(calls))
+            dual_witnesses += n_dual
+    assert dual_witnesses

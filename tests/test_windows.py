@@ -74,3 +74,17 @@ def test_window_margins_vanish_omega():
     lo, hi = nonvanishing_window(y, spec, conds)
     for t in (lo - 1, lo - 2, hi + 1, hi + 2):
         assert all(eval_cond(y, spec, cond, t) == 0 for cond in conds)
+
+
+@pytest.mark.parametrize("twist", [(-2, 1), (-1, 2), (0, 1)], ids=str)
+def test_window_margins_vanish_where_serre_duality_bounds(twist):
+    # Omega^2 here has 2.1 conditions whose resolution intervals are
+    # half-infinite; only their Serre-dual bound puts the lowest witness
+    # inside the window, the anchors do not reach it
+    x = make_scroll(2, 2, [1, 2, 3])
+    spec = SheafSpec.from_omega(2, DivClass(*twist))
+    conds = pure_h_conditions(x)
+    lo, hi = nonvanishing_window(x, spec, conds)
+    assert any(eval_cond(x, spec, cond, lo) for cond in conds)
+    for t in (lo - 1, lo - 2, hi + 1, hi + 2):
+        assert all(eval_cond(x, spec, cond, t) == 0 for cond in conds)
