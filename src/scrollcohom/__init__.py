@@ -2,16 +2,15 @@
 the projectivizations P(O(a_0)+...+O(a_n)) of sums of line bundles on P^m.
 
 Everything is computed in exact integer arithmetic; every closed form has
-an independent brute-force route (character counting for line bundles, two
-resolutions for cotangent powers) and the test suite checks the routes
-against each other.
+an independent brute-force route (character counting for line bundles, the
+hypercohomology of two resolutions for cotangent powers) and the test suite
+and the verify suites check the routes against each other.
 """
 
 from .characters import Character, character_cohom, enumerate_contributing
 from .cohomology import (SplitBundle, bundle_cohom, euler_char, is_globally_generated,
-                         line_cohom, mult_map_rank, pm_cohom, sym_twists)
-from .complexes import (MonomialComplex, cotangent_resolution_left, cotangent_resolution_right,
-                        hypercohom, omega_cohom)
+                         line_cohom, mult_map_rank, omega_cohom, pm_cohom, sym_twists)
+from .complexes import MonomialComplex, cotangent_resolution_left, cotangent_resolution_right, hypercohom
 from .regularity import (RegularityReport, compare_regularities, is_ms_regular, is_pq_regular,
                          reg, reg_detail, rns_is_pq_regular)
 from .scroll import DivClass, Scroll, TwistMap, make_scroll, normalize_twist
@@ -25,9 +24,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Character", "character_cohom", "enumerate_contributing",
     "SplitBundle", "bundle_cohom", "euler_char", "is_globally_generated",
-    "line_cohom", "mult_map_rank", "pm_cohom", "sym_twists",
+    "line_cohom", "mult_map_rank", "omega_cohom", "pm_cohom", "sym_twists",
     "MonomialComplex", "cotangent_resolution_left", "cotangent_resolution_right",
-    "hypercohom", "omega_cohom",
+    "hypercohom",
     "RegularityReport", "compare_regularities", "is_ms_regular", "is_pq_regular",
     "reg", "reg_detail", "rns_is_pq_regular",
     "DivClass", "Scroll", "TwistMap", "make_scroll", "normalize_twist",

@@ -9,6 +9,7 @@ are emitted as JSON (or CSV for table sweeps).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,7 +176,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call can share it."""
     ap = argparse.ArgumentParser(
         prog="scrollcohom",
         description="Exact cohomology, regularity and splitting criteria on "

@@ -1,5 +1,10 @@
 """Monomial complexes of line bundles and their hypercohomology.
 
+The hypercohomology of the two resolutions of Omega^i is the second route
+to the closed-form tables of :mod:`scrollcohom.cohomology`, run by the
+verify suites and the tests; production reads only the terms of the right
+resolution, to bound where a condition can be nonzero (``windows``).
+
 The exact sequences used downstream (the dual relative Euler sequence, its
 exterior powers, the two resolutions of Omega^i by sums of line bundles,
 and the pullbacks of Koszul complexes from the base) all have differentials
@@ -42,7 +47,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .characters import enumerate_contributing, valid_rows
-from .cohomology import line_cohom, zero_table
+# omega_cohom is re-exported: bench/tracer.py wraps it as complexes.omega_cohom
+from .cohomology import check_omega_index, omega_cohom, zero_table  # noqa: F401
 from .linalg import rank_int
 from .scroll import DivClass, Scroll
 
@@ -190,7 +196,7 @@ def cotangent_resolution_left(x: Scroll, i: int) -> MonomialComplex:
 
     Placed in degrees -(n-i)..0, so hypercohomology computes H^*(Omega^i).
     """
-    _check_omega_index(x, i)
+    check_omega_index(x, i)
     return MonomialComplex(x, -(x.n - i), *_subset_terms(x, range(x.n + 1, i, -1), h_shift=False))
 
 
@@ -199,13 +205,8 @@ def cotangent_resolution_right(x: Scroll, i: int) -> MonomialComplex:
 
     Placed in degrees 0..i, so hypercohomology computes H^*(Omega^i).
     """
-    _check_omega_index(x, i)
+    check_omega_index(x, i)
     return MonomialComplex(x, 0, *_subset_terms(x, range(i, -1, -1), h_shift=False))
-
-
-def _check_omega_index(x: Scroll, i: int):
-    if not 0 <= i <= x.n:
-        raise ValueError(f"cotangent power index {i} out of range 0..{x.n}")
 
 
 def koszul_pullback(x: Scroll) -> MonomialComplex:
@@ -437,17 +438,3 @@ def hypercohom(x: Scroll, c: MonomialComplex) -> tuple[int, ...]:
         table[deg] = h
     return tuple(table)
 
-
-def omega_cohom(x: Scroll, i: int, t: DivClass) -> tuple[int, ...]:
-    """Cohomology table of Omega^i(T), the i-th exterior power of the
-    relative cotangent bundle twisted by T.  Omega^0 is the structure sheaf.
-
-    One resolution is built, the one with fewer summands: the right one has
-    sum_{s<=i} C(n+1,s) and the left one sum_{s>i} C(n+1,s), so the right
-    one is used when 2i < n and the left one otherwise.  The two are checked
-    against each other by verify's koszul and bott suites and by the tests.
-    """
-    if i == 0:
-        return line_cohom(x, t)
-    build = cotangent_resolution_right if 2 * i < x.n else cotangent_resolution_left
-    return hypercohom(x, build(x, i).twist(t))

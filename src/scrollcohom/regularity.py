@@ -148,8 +148,8 @@ def reg_detail(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) 
     if scan is None:
         finite = []
         any_interval = False
-        for cond in conds:
-            for lo, hi in cond_t_intervals(x, spec, cond):
+        for ivs in cond_t_intervals(x, spec, conds):
+            for lo, hi in ivs:
                 any_interval = True
                 if hi != INF:
                     finite.append(hi)

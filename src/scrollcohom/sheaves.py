@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cohomology import SplitBundle, bundle_cohom, choose
-from .complexes import omega_cohom
+from .cohomology import SplitBundle, bundle_cohom, choose, omega_cohom
 from .scroll import ZERO, DivClass, Scroll, json_int
 
 

@@ -44,10 +44,9 @@ at every t.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .cohomology import SplitBundle
+from .cohomology import SplitBundle, subset_sums
 from .regularity import RegResult, reg_detail
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec
@@ -107,12 +106,10 @@ class SplittingReport:
 
 def subset_values(x: Scroll) -> list[tuple[int, int]]:
     """Distinct (|I|, a_I) over subsets I of the twist indices with
-    1 <= |I| <= n (the range the subset-indexed conditions quantify over)."""
-    vals = set()
-    for r in range(1, x.n + 1):
-        for sub in itertools.combinations(range(x.n + 1), r):
-            vals.add((r, sum(x.a[i] for i in sub)))
-    return sorted(vals)
+    1 <= |I| <= n (the range the subset-indexed conditions quantify over),
+    sorted, read off the subset-sum histograms."""
+    sums = subset_sums(x)
+    return [(r, a_i) for r in range(1, x.n + 1) for a_i, _ in sums[r]]
 
 
 def _require_splitting_scroll(x: Scroll):
@@ -163,16 +160,14 @@ def indecomposable_hypotheses(x: Scroll) -> list[Cond]:
     for r, a_i in subset_values(x):
         conds.append(Cond("d1", r, -r, a_i - 1, idx=(r, a_i)))
         conds.append(Cond("d2", r, -r + 1, a_i - 1, dual=True, idx=(r, a_i)))
+    sums = subset_sums(x)
     for i in range(1, x.n):
         for k in range(1, i + 1):
-            size = 1 - k + i
-            for r, a_i in subset_values(x):
-                if r == size:
-                    conds.append(Cond("e1", k, -k, k + 1 - a_i, idx=(i, k, a_i)))
+            for a_i, _ in sums[1 - k + i]:
+                conds.append(Cond("e1", k, -k, k + 1 - a_i, idx=(i, k, a_i)))
         for k in range(1, x.n - i + 1):
-            for r, a_i in subset_values(x):
-                if r == k + 1:
-                    conds.append(Cond("e2", k, -(k - 1), a_i - i - 1, dual=True, idx=(i, k, a_i)))
+            for a_i, _ in sums[k + 1]:
+                conds.append(Cond("e2", k, -(k - 1), a_i - i - 1, dual=True, idx=(i, k, a_i)))
     return conds
 
 

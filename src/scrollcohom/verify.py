@@ -9,13 +9,14 @@ the same checks (and the acceptance tests run larger boxes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .characters import character_cohom
 from .cohomology import (SplitBundle, bundle_cohom, choose, euler_char, is_globally_generated,
-                         line_cohom, mult_map_rank, sym_twists, zero_table)
+                         line_cohom, mult_map_rank, omega_cohom, sym_twists, zero_table)
 from .complexes import (_contributing_keys, cotangent_resolution_left, cotangent_resolution_right,
                         euler_complex, exterior_complex, hypercohom, koszul_pullback,
-                        koszul_pullback_spliced, omega_cohom, per_key_dims, single_term_complex,
+                        koszul_pullback_spliced, per_key_dims, single_term_complex,
                         validate_complex)
 from .regularity import (compare_regularities, is_ms_regular, is_pq_regular, reg_detail,
                          rns_is_pq_regular)
@@ -199,8 +200,11 @@ def suite_oracle(box: int = 6) -> list[CheckResult]:
 
 # -- complexes and hypercohomology ----------------------------------------
 
+@lru_cache(maxsize=4096)
 def _omega_tables(x: Scroll, i: int, t: DivClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """H^*(Omega^i(T)) from the left and from the right resolution; omega_cohom builds one."""
+    """H^*(Omega^i(T)) from the left and from the right resolution, the
+    second route to omega_cohom's closed form; cached, since the koszul and
+    bott suites read the same boxes more than once."""
     return tuple(hypercohom(x, build(x, i).twist(t))
                  for build in (cotangent_resolution_left, cotangent_resolution_right))
 
@@ -341,11 +345,16 @@ def _bott_h(n: int, p: int, k: int, q: int) -> int:
     return 0
 
 
+PRODUCT_SCROLLS = (make_scroll(1, 1, [1, 1]), make_scroll(2, 2, [1, 1, 1]), make_scroll(1, 3, [1, 1, 1, 1]))
+
+
 def suite_bott() -> list[CheckResult]:
     """Cotangent power tables against the classical closed form: directly on
     projective space (m = 0 scrolls), and through the Kuenneth decomposition
     on product scrolls, where the relative cotangent bundle is the pullback
-    of the cotangent bundle of the fiber factor."""
+    of the cotangent bundle of the fiber factor.  Both resolutions and
+    omega_cohom's closed form are checked, and the closed form is compared
+    with both resolutions on the koszul and bott boxes."""
     out = []
     bad = []
     for n in (1, 2, 3):
@@ -353,13 +362,14 @@ def suite_bott() -> list[CheckResult]:
         for i in range(n + 1):
             for d in range(-2 * n - 2, 2 * n + 3):
                 want = tuple(_bott_h(n, i, d, k) for k in range(n + 1))
-                for got in _omega_tables(x, i, DivClass(d, 0)):
+                t = DivClass(d, 0)
+                for got in _omega_tables(x, i, t) + (omega_cohom(x, i, t),):
                     if got != want:
                         bad.append((n, i, d, got, want))
     out.append(_result("bott", "projective-space-cotangent-tables", bad))
 
     bad = []
-    for x in (make_scroll(1, 1, [1, 1]), make_scroll(2, 2, [1, 1, 1]), make_scroll(1, 3, [1, 1, 1, 1])):
+    for x in PRODUCT_SCROLLS:
         # all twists 1: O(pH+qF) has product bidegree (p, p+q) and
         # Omega^i_rel(pH+qF) = Omega^i_{P^n}(p) boxtimes O_{P^m}(p+q)
         for i in range(x.n + 1):
@@ -369,10 +379,26 @@ def suite_bott() -> list[CheckResult]:
                         sum(_bott_h(x.n, i, p, u) * _pn_h(x.m, k - u, p + q) for u in range(k + 1))
                         for k in range(x.dim + 1)
                     )
-                    for got in _omega_tables(x, i, DivClass(p, q)):
+                    t = DivClass(p, q)
+                    for got in _omega_tables(x, i, t) + (omega_cohom(x, i, t),):
                         if got != want:
                             bad.append((x, i, (p, q), got, want))
     out.append(_result("bott", "product-scroll-kuenneth-cotangent-tables", bad))
+
+    boxes = [(x, _box(-2, 2)) for x in FAMILY if x.n >= 1]  # the koszul suite's
+    boxes += [(make_scroll(0, n, [0] * (n + 1)), [(d, 0) for d in range(-2 * n - 2, 2 * n + 3)])
+              for n in (1, 2, 3)]
+    boxes += [(x, _box(-3, 3)) for x in PRODUCT_SCROLLS]
+    bad = []
+    for x, box in boxes:
+        for i in range(x.n + 1):
+            for p, q in box:
+                t = DivClass(p, q)
+                left, right = _omega_tables(x, i, t)
+                closed = omega_cohom(x, i, t)
+                if not closed == left == right:
+                    bad.append((x, i, t, closed, left, right))
+    out.append(_result("bott", "closed-form-matches-both-resolutions", bad))
     return out
 
 

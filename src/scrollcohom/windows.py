@@ -115,23 +115,33 @@ def _intervals(x: Scroll, pieces, k: int, dp: int, dq: int) -> list[tuple[float,
     return out
 
 
-def cond_t_intervals(x: Scroll, spec: SheafSpec, cond: Cond) -> list[tuple[float, float]]:
-    """t-intervals outside of which the condition surely vanishes.
+def _side_pieces(x: Scroll, spec: SheafSpec, sides) -> dict:
+    """The pieces of E (side False) and of E^dual (side True), each side
+    asked for built once."""
+    return {side: _spec_pieces(x, spec.dual(x) if side else spec) for side in sides}
+
+
+def _cond_intervals(x: Scroll, pieces: dict, conds: list[Cond]) -> list:
+    return [_intervals(x, pieces[cond.dual], cond.k, cond.dp, cond.dq) for cond in conds]
+
+
+def cond_t_intervals(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> list:
+    """Per condition, the t-intervals outside of which it surely vanishes:
+    intervals[i] belongs to conds[i].
 
     Per piece (a summand, or a resolution term at homological position pos)
-    the condition's group can be nonzero only where degree k - pos of the
+    a condition's group can be nonzero only where degree k - pos of the
     piece is, so the union of these intervals contains the true
     nonvanishing set; for a split sheaf (all pieces at pos = 0, adding
-    nonnegative terms) it equals that set.  :func:`window_pass` computes the
-    same intervals for a whole condition family in one pass.
+    nonnegative terms) it equals that set.  The pieces of each side the
+    conditions read are built once for the whole list.
     """
-    target = spec.dual(x) if cond.dual else spec
-    return _intervals(x, _spec_pieces(x, target), cond.k, cond.dp, cond.dq)
+    return _cond_intervals(x, _side_pieces(x, spec, {cond.dual for cond in conds}), conds)
 
 
 def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[tuple[int, int], list]:
     """One pass over a condition family: ((t_lo, t_hi), intervals), where
-    intervals[i] is :func:`cond_t_intervals` of conds[i] and every condition
+    intervals is :func:`cond_t_intervals` of conds and every condition
     vanishes for all t outside the window [t_lo, t_hi].
 
     The pieces of E and E^dual are built once.  The window is the hull of
@@ -141,12 +151,11 @@ def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[tuple[in
     run in the opposite t-direction, so the intersection is finite.
     Raises on non-positive scrolls or if a condition stays unbounded.
     """
-    pieces = {False: _spec_pieces(x, spec), True: _spec_pieces(x, spec.dual(x))}
+    pieces = _side_pieces(x, spec, (False, True))
+    intervals = _cond_intervals(x, pieces, conds)
+    hulls = []
     kx = x.canonical_class()
-    intervals, hulls = [], []
-    for cond in conds:
-        ivs = _intervals(x, pieces[cond.dual], cond.k, cond.dp, cond.dq)
-        intervals.append(ivs)
+    for cond, ivs in zip(conds, intervals):
         if not ivs:
             continue
         lo, hi = min(iv[0] for iv in ivs), max(iv[1] for iv in ivs)

@@ -178,3 +178,20 @@ def test_reversed_range_is_an_error(capsys, tmp_path, argv, code):
     assert (got, out) == (code, "")
     assert err.startswith("usage error: " if code == 2 else "error: ")
     assert not out_dir.exists()
+
+
+def test_shared_parser_gives_identical_runs(capsys):
+    # the parser is built once per process; a usage error in between must
+    # leave nothing behind that changes the next run
+    from scrollcohom.cli import build_parser
+
+    valid = ["split", "--scroll", SCROLL, "--sheaf", '{"omega":{"i":1,"twist":[2,-2]}}', "--theorem", "2.2"]
+    first = run(capsys, *valid)
+    with pytest.raises(SystemExit) as exc:
+        main(["split", "--scroll", SCROLL, "--sheaf", O, "--theorem", "7.7"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(capsys, "reg", "--scroll", SCROLL, "--sheaf", O, "--scan", "5:1")[0] == 2
+    assert run(capsys, *valid) == first
+    assert first[0] == 0 and first[2] == ""
+    assert build_parser() is build_parser()

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scrollcohom import (DivClass, SplitBundle, bundle_cohom, euler_char, is_globally_generated,
-                         line_cohom, make_scroll, mult_map_rank, pm_cohom, sym_twists)
+from scrollcohom import (DivClass, SplitBundle, bundle_cohom, euler_char, hypercohom, is_globally_generated,
+                         line_cohom, make_scroll, mult_map_rank, omega_cohom, pm_cohom, sym_twists)
 from scrollcohom.characters import weak_compositions
 from scrollcohom.cohomology import choose
+from scrollcohom.complexes import cotangent_resolution_left, cotangent_resolution_right
 
 X12 = make_scroll(1, 1, [1, 2])
 F2 = make_scroll(1, 1, [0, 2])
@@ -147,3 +148,68 @@ def test_serre_duality_box():
                 t1 = line_cohom(x, d)
                 t2 = line_cohom(x, x.serre_dual_twist(d))
                 assert all(t1[i] == t2[x.dim - i] for i in range(x.dim + 1)), (x, d)
+
+
+@st.composite
+def omega_queries(draw):
+    m = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 3))
+    x = make_scroll(m, n, draw(st.lists(st.integers(-1, 2), min_size=n + 1, max_size=n + 1)))
+    i = draw(st.integers(0, n))
+    return x, i, DivClass(draw(st.integers(-n - 3, n + 3)), draw(st.integers(-2, 2)))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(query=omega_queries())
+@example(query=(make_scroll(0, 3, [0, 0, 0, 0]), 2, DivClass(-4, 1)))  # m = 0, p < i - n
+@example(query=(make_scroll(1, 2, [-1, 0, 2]), 1, DivClass(0, -2)))  # non-positive, p = 0
+@example(query=(make_scroll(2, 3, [1, 1, 2, 2]), 2, DivClass(4, -5)))  # p > i, h^m side
+@example(query=(make_scroll(1, 3, [-1, -1, 2, 2]), 3, DivClass(-6, 2)))  # i = n, dual of Omega^0
+def test_omega_closed_form_matches_both_resolutions(query):
+    x, i, t = query
+    tab = omega_cohom(x, i, t)
+    assert hypercohom(x, cotangent_resolution_left(x, i).twist(t)) == tab
+    assert hypercohom(x, cotangent_resolution_right(x, i).twist(t)) == tab
+    dual = omega_cohom(x, x.n - i, DivClass(-t.p, -t.q - x.m - 1))
+    assert tab == dual[::-1]
+
+
+def test_omega_closed_form_on_a_large_fiber():
+    # n = 6: the resolutions have 64 summands and take tens of seconds
+    import time
+
+    x = make_scroll(1, 6, [1, 1, 1, 1, 1, 1, 2])
+    t0 = time.process_time()
+    tab = omega_cohom(x, 3, DivClass(7, -1))
+    assert time.process_time() - t0 < 0.5
+    assert tab == (19200,) + (0,) * 7
+
+
+def test_omega_closed_form_calls_no_engine(monkeypatch):
+    # production Omega cohomology reads histograms only: no complex, no
+    # character enumeration, no rank computation
+    from scrollcohom import characters, complexes, linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("omega_cohom reached a second-route engine")
+
+    for module, name in ((complexes, "hypercohom"), (complexes, "rank_int"), (linalg, "rank_int"),
+                         (complexes, "enumerate_contributing"), (characters, "enumerate_contributing"),
+                         (characters, "_character_counts"), (characters, "character_cohom")):
+        monkeypatch.setattr(module, name, forbidden)
+    x = make_scroll(2, 3, [1, 1, 2, 3])
+    for i in range(x.n + 1):
+        for p in range(-6, 7):
+            omega_cohom(x, i, DivClass(p, -1))
+
+
+def test_sheaves_does_not_import_the_engine():
+    import ast
+    import inspect
+
+    from scrollcohom import sheaves
+
+    tree = ast.parse(inspect.getsource(sheaves))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(name and name.split(".")[-1] in ("complexes", "linalg", "characters") for name in imported)

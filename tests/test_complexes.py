@@ -115,8 +115,8 @@ def test_omega_route_agreement_and_duality():
 
 
 def test_omega_routes_agree_on_benchmark_scrolls():
-    # the omega-engine benchmark's scrolls: the only n = 4 case, and the
-    # 2i = n tie at i = 2, where omega_cohom builds the left resolution
+    # the omega-engine benchmark's scrolls, the only n = 4 case among them;
+    # the two resolutions are the second route to the closed form
     for x in (make_scroll(1, 2, [1, 1, 2]), make_scroll(2, 2, [1, 1, 2]), make_scroll(1, 3, [1, 1, 1, 2]),
               make_scroll(2, 3, [1, 1, 1, 1]), make_scroll(1, 4, [1, 1, 1, 1, 2])):
         for i in range(1, x.n):
@@ -125,6 +125,7 @@ def test_omega_routes_agree_on_benchmark_scrolls():
                     t = DivClass(p, q)
                     left = hypercohom(x, cotangent_resolution_left(x, i).twist(t))
                     assert hypercohom(x, cotangent_resolution_right(x, i).twist(t)) == left, (x, i, t)
+                    assert omega_cohom(x, i, t) == left, (x, i, t)
 
 
 def test_omega_euler_characteristic():

@@ -120,3 +120,26 @@ def test_omega_regularity_measured():
     y = make_scroll(1, 3, [1, 1, 1, 1])
     assert reg(y, SheafSpec.from_omega(2, DivClass(3, -3))) == 0
     assert reg(y, SheafSpec.from_omega(1, DivClass(2, -2))) == 0
+
+
+def test_reg_detail_builds_the_pieces_once(monkeypatch):
+    # one build of E's pieces for all (p,q)-regularity conditions, not one
+    # per condition; at most two (E and its dual) per call
+    from scrollcohom import windows
+
+    calls = []
+    real = windows._spec_pieces
+
+    def counted(x, spec):
+        calls.append(spec)
+        return real(x, spec)
+
+    monkeypatch.setattr(windows, "_spec_pieces", counted)
+    for x in (X12, make_scroll(1, 2, [1, 1, 2]), make_scroll(2, 2, [1, 2, 3])):
+        specs = [O, SheafSpec.from_split([(0, 1), (1, -1)])]
+        specs += [SheafSpec.from_omega(i, DivClass(p, -p)) for i in range(x.n + 1) for p in (0, 2)]
+        for spec in specs:
+            calls.clear()
+            res = reg_detail(x, spec)
+            assert res.value is not None
+            assert 1 <= len(calls) <= 2, (x, spec.describe(), len(calls))

@@ -201,3 +201,35 @@ def test_split_check_builds_the_dual_once(monkeypatch):
             assert len(calls) <= 1 + n_dual, (spec.describe(), theorem, len(calls))
             dual_witnesses += n_dual
     assert dual_witnesses
+
+
+def test_subset_values_match_enumeration():
+    from scrollcohom.cohomology import subset_sums
+    from scrollcohom.splitting import subset_values
+
+    for x in (X12, Y, make_scroll(2, 4, [-1, 0, 0, 2, 5]), make_scroll(1, 5, [1, 1, 2, 3, 5, 8])):
+        subsets = [sub for r in range(x.n + 2) for sub in itertools.combinations(x.a, r)]
+        want = sorted({(len(sub), sum(sub)) for sub in subsets if 1 <= len(sub) <= x.n})
+        assert subset_values(x) == want
+        sums = subset_sums(x)
+        assert len(sums) == x.n + 2
+        for r, hist in enumerate(sums):
+            counts = {}
+            for sub in itertools.combinations(x.a, r):
+                counts[sum(sub)] = counts.get(sum(sub), 0) + 1
+            assert hist == tuple(sorted(counts.items()))
+
+
+def test_indecomposable_check_is_polynomial_in_the_fiber():
+    # n = 14: the subset-indexed conditions come from per-size subset-sum
+    # histograms, not from a walk over all 2^15 subsets per (i, k)
+    import time
+
+    x = make_scroll(1, 14, range(1, 16))
+    t0 = time.process_time()
+    rep = check_theorem(x, SheafSpec.from_split([(0, 0), (1, 0)]), "2.3")
+    assert time.process_time() - t0 < 2.0
+    # O + O(H) has Reg 0, fails only the subset-indexed (e) hypotheses, and
+    # its own cohomology fires the O detector
+    assert rep.reg.value == 0 and not rep.verdict and rep.conclusion == "O"
+    assert len(rep.witnesses) == 610 and {w.condition for w in rep.witnesses} == {"e1", "e2"}
