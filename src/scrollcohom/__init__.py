@@ -1,16 +1,17 @@
 """Exact sheaf cohomology, regularity and splitting criteria on scrolls,
 the projectivizations P(O(a_0)+...+O(a_n)) of sums of line bundles on P^m.
 
-Everything is computed in exact integer arithmetic; every closed form has
-an independent brute-force route (character counting for line bundles, the
-hypercohomology of two resolutions for cotangent powers) and the test suite
-and the verify suites check the routes against each other.
+Everything is computed in exact integer arithmetic.  Every closed form has
+an independent second route, checked by the tests and ``verify``: character
+counting for line bundles, and in ``complexes``/``linalg`` the
+hypercohomology of two resolutions for cotangent powers.  Production never
+loads those three modules; ``characters`` loads with the root, which
+re-exports ``character_cohom``.
 """
 
 from .characters import Character, character_cohom, enumerate_contributing
 from .cohomology import (SplitBundle, bundle_cohom, euler_char, is_globally_generated,
                          line_cohom, mult_map_rank, omega_cohom, pm_cohom, sym_twists)
-from .complexes import MonomialComplex, cotangent_resolution_left, cotangent_resolution_right, hypercohom
 from .regularity import (RegularityReport, compare_regularities, is_ms_regular, is_pq_regular,
                          reg, reg_detail, rns_is_pq_regular)
 from .scroll import DivClass, Scroll, TwistMap, make_scroll, normalize_twist
@@ -25,8 +26,6 @@ __all__ = [
     "Character", "character_cohom", "enumerate_contributing",
     "SplitBundle", "bundle_cohom", "euler_char", "is_globally_generated",
     "line_cohom", "mult_map_rank", "omega_cohom", "pm_cohom", "sym_twists",
-    "MonomialComplex", "cotangent_resolution_left", "cotangent_resolution_right",
-    "hypercohom",
     "RegularityReport", "compare_regularities", "is_ms_regular", "is_pq_regular",
     "reg", "reg_detail", "rns_is_pq_regular",
     "DivClass", "Scroll", "TwistMap", "make_scroll", "normalize_twist",

@@ -20,7 +20,6 @@ from .sheaves import SheafSpec, sheaf_cohom
 from .splitting import THEOREM_IDS, check_theorem
 from .sweep import OPS as SWEEP_OPS
 from .sweep import run_sweep
-from .verify import SUITES, run_suites
 
 
 class UsageError(ValueError):
@@ -146,6 +145,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites
+
     names = [args.suite] if args.suite and args.suite != "all" else None
     if names and names[0] not in SUITES:
         raise UsageError(f"unknown suite {names[0]!r}; choose from {', '.join(SUITES)} or all")
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", type=int, help="list the contributing characters of one degree")
 
     p = add("verify", _cmd_verify, "run the property suites")
-    p.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)} or all")
+    p.add_argument("--suite", default="all", help="a suite name, or all")
 
     p = add("sweep", _cmd_sweep, "batch runs over a scroll family, persisted")
     p.add_argument("--family", required=True, help='\'{"m":[1],"n":[1,2],"a_min":1,"a_max":3}\'')

@@ -52,13 +52,27 @@ def pm_cohom(m: int, d: int) -> tuple[int, int]:
     return monomial_count(m, d), monomial_count(m, -d - 1 - m)
 
 
+# Most cells the sym_twists dynamic program may hold, counted as
+# (k+1) * (k*(a_n - a_0) + 1): k+1 rows, none longer than the last.  Near
+# 10^7 cells the process peaked at 210-280 MB resident (n = 4 and n = 12,
+# 64-bit CPython 3.11); larger queries are refused instead of exhausting
+# memory.  Every query of the tests, the verify suites and the benchmark
+# stays below 2*10^5 cells.
+SYM_CELL_BUDGET = 10**7
+
+
 @lru_cache(maxsize=None)
 def sym_twists(x: Scroll, k: int) -> tuple[tuple[int, int], ...]:
     """Histogram of the base twists of Sym^k(V): sorted pairs (t, mult), mult
     counting the weak compositions beta of k with beta . a = t, i.e. the
-    coefficient of u^k z^t in prod_j 1/(1 - u z^{a_j}), in O(n k^2 (a_n - a_0))."""
+    coefficient of u^k z^t in prod_j 1/(1 - u z^{a_j}), in O(n k^2 (a_n - a_0)).
+    Raises ValueError when the table would exceed SYM_CELL_BUDGET cells."""
     if k < 0:
         raise ValueError("symmetric power index must be nonnegative")
+    cells = (k + 1) * (k * (x.a[-1] - x.a[0]) + 1)
+    if cells > SYM_CELL_BUDGET:
+        raise ValueError(f"Sym^{k} on this scroll needs {cells} table cells, "
+                         f"over the budget of {SYM_CELL_BUDGET}")
     # rows[l][s]: compositions of l over the variables so far with twist l*a_0 + s
     rows = [[1] for _ in range(k + 1)]
     for aj in x.a[1:]:

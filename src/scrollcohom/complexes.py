@@ -2,8 +2,8 @@
 
 The hypercohomology of the two resolutions of Omega^i is the second route
 to the closed-form tables of :mod:`scrollcohom.cohomology`, run by the
-verify suites and the tests; production reads only the terms of the right
-resolution, to bound where a condition can be nonzero (``windows``).
+verify suites and the tests; no production module imports this one or
+:mod:`scrollcohom.linalg`.
 
 The exact sequences used downstream (the dual relative Euler sequence, its
 exterior powers, the two resolutions of Omega^i by sums of line bundles,

@@ -4,6 +4,10 @@ Each suite re-checks the invariants the library is built on, over moderate
 boxes of a fixed scroll family, and reports one pass/fail line per named
 property.  The CLI `verify` subcommand drives these; the test suite runs
 the same checks (and the acceptance tests run larger boxes).
+
+The reference formulas the tests share live here under public names
+(:func:`bott_h`, :func:`classical_pn_regular`, :func:`regular_split_samples`).
+No production module imports this one.
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ def suite_closed_form() -> list[CheckResult]:
 
     bad = []
     for x in POSITIVE_FAMILY:
-        for e in _regular_split_samples(x):
+        for e in regular_split_samples(x):
             for s in e.split.summands:
                 if not is_globally_generated(x, s):
                     bad.append((x, e.describe(), s))
@@ -163,7 +167,7 @@ def suite_closed_form() -> list[CheckResult]:
 
     bad = []
     for x in POSITIVE_FAMILY:
-        for e in _regular_split_samples(x):
+        for e in regular_split_samples(x):
             for by in (DivClass(0, 1), DivClass(1, 0)):
                 rank, target = mult_map_rank(x, e.split, by)
                 if rank != target:
@@ -172,7 +176,7 @@ def suite_closed_form() -> list[CheckResult]:
     return out
 
 
-def _regular_split_samples(x: Scroll) -> list[SheafSpec]:
+def regular_split_samples(x: Scroll) -> list[SheafSpec]:
     """Small catalog of split bundles that are regular on x."""
     candidates = [
         [(0, 0)], [(0, 1)], [(1, -1)], [(1, 0)], [(0, 0), (0, 1)],
@@ -334,7 +338,7 @@ def suite_koszul() -> list[CheckResult]:
     return out
 
 
-def _bott_h(n: int, p: int, k: int, q: int) -> int:
+def bott_h(n: int, p: int, k: int, q: int) -> int:
     """Classical dimensions h^q(P^n, Omega^p(k))."""
     if q == 0 and k > p:
         return choose(k + n - p, k) * choose(k - 1, p)
@@ -361,7 +365,7 @@ def suite_bott() -> list[CheckResult]:
         x = make_scroll(0, n, [0] * (n + 1))
         for i in range(n + 1):
             for d in range(-2 * n - 2, 2 * n + 3):
-                want = tuple(_bott_h(n, i, d, k) for k in range(n + 1))
+                want = tuple(bott_h(n, i, d, k) for k in range(n + 1))
                 t = DivClass(d, 0)
                 for got in _omega_tables(x, i, t) + (omega_cohom(x, i, t),):
                     if got != want:
@@ -376,7 +380,7 @@ def suite_bott() -> list[CheckResult]:
             for p in range(-3, 4):
                 for q in range(-3, 4):
                     want = tuple(
-                        sum(_bott_h(x.n, i, p, u) * _pn_h(x.m, k - u, p + q) for u in range(k + 1))
+                        sum(bott_h(x.n, i, p, u) * _pn_h(x.m, k - u, p + q) for u in range(k + 1))
                         for k in range(x.dim + 1)
                     )
                     t = DivClass(p, q)
@@ -412,7 +416,8 @@ def _pn_h(n: int, i: int, d: int) -> int:
     return 0
 
 
-def _classical_pn_regular(n: int, twists, p: int) -> bool:
+def classical_pn_regular(n: int, twists, p: int) -> bool:
+    """Whether O(d_1)+...+O(d_r) on P^n is p-regular, for twists d_j."""
     return all(_pn_h(n, i, d + p - i) == 0 for d in twists for i in range(1, n + 1))
 
 
@@ -424,7 +429,7 @@ def suite_regularity() -> list[CheckResult]:
         for twists in ([0], [0, -2], [1, 3], [-1]):
             e = SheafSpec.from_split([(d, 0) for d in twists])
             for p in range(-3, 4):
-                if is_pq_regular(x, e, p, 0).verdict != _classical_pn_regular(n, twists, p):
+                if is_pq_regular(x, e, p, 0).verdict != classical_pn_regular(n, twists, p):
                     bad.append((n, twists, p))
     out.append(_result("regularity", "projective-space-reduction", bad))
 
@@ -445,7 +450,7 @@ def suite_regularity() -> list[CheckResult]:
 
     bad = []
     for x in POSITIVE_FAMILY:
-        for e in _regular_split_samples(x):
+        for e in regular_split_samples(x):
             for a in range(0, 4):
                 for b in range(0, 4):
                     h = sheaf_h(x, e, x.dim, DivClass(a - x.n, x.c - 1 - x.m + b))
@@ -455,7 +460,7 @@ def suite_regularity() -> list[CheckResult]:
 
     bad = []
     for x in POSITIVE_FAMILY:
-        for e in _regular_split_samples(x):
+        for e in regular_split_samples(x):
             for q in range(0, 4):
                 if not is_pq_regular(x, e, 0, q).verdict:
                     bad.append((x, e.describe(), q))
@@ -463,7 +468,7 @@ def suite_regularity() -> list[CheckResult]:
 
     bad = []
     for x in POSITIVE_FAMILY:
-        for e in _regular_split_samples(x):
+        for e in regular_split_samples(x):
             for p in range(0, 4):
                 for q in range(0, 4):
                     if not is_pq_regular(x, e, p, q).verdict:

@@ -17,17 +17,17 @@ summand every condition has a finite nonvanishing interval.  A check makes
 one pass, :func:`window_pass`: it builds the pieces of E and E^dual once and
 lists each condition's intervals.  Their union is exactly where the
 condition is nonzero for a split sheaf (h^k of a sum adds nonnegative terms)
-and a superset of it for a cotangent twist (whose intervals come from its
-resolution terms, the homological shift as slack).  The window is the hull
-of those same intervals, hulled with each piece's section/top cohomology
-transition (the anchors) so that it covers the twists where the sheaf
-itself lives; outside it every condition vanishes identically.
+and a superset of it for a cotangent twist, whose pieces are the distinct
+right-resolution terms read off ``subset_sums``, position as slack.  The
+window is the hull of those intervals and of each piece's section/top
+cohomology transition (the anchors); outside it every condition vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cohomology import check_omega_index, subset_sums
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec, sheaf_h
 
@@ -93,14 +93,13 @@ def line_h_interval(x: Scroll, k: int, q: int):
 
 def _spec_pieces(x: Scroll, spec: SheafSpec):
     """(position, line bundle class) pieces bounding the sheaf's cohomology:
-    the summands themselves for a split bundle, the terms of the right
-    resolution (with their homological positions) for a cotangent twist."""
+    the summands of a split bundle; for Omega^i(T) the distinct terms
+    O<T.p - s, T.q + a_I> (|I| = s <= i) of its right resolution, at i - s."""
     if spec.kind == "split":
         return [(0, s) for s in spec.split.summands]
-    from .complexes import cotangent_resolution_right
-
-    c = cotangent_resolution_right(x, spec.omega_i).twist(spec.omega_twist)
-    return [(pos, sm.cls) for pos, term in zip(c.positions, c.terms) for sm in term]
+    i, t = spec.omega_i, spec.omega_twist
+    check_omega_index(x, i)
+    return [(i - s, DivClass(t.p - s, t.q + a)) for s in range(i + 1) for a, _ in subset_sums(x)[s]]
 
 
 def _intervals(x: Scroll, pieces, k: int, dp: int, dq: int) -> list[tuple[float, float]]:
@@ -173,7 +172,7 @@ def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[tuple[in
     # anchors: each piece's section/top cohomology transition, so the window
     # covers the twists where the sheaf itself lives
     for side in (False, True) if any(c.dual for c in conds) else (False,):
-        slack = max(abs(pos) for pos, _ in pieces[side]) if spec.kind == "omega" else 0
+        slack = max(abs(pos) for pos, _ in pieces[side])
         for _, cls in pieces[side]:
             hulls.append((line_h_interval(x, x.dim, cls.q)[1] - cls.p - slack,
                           line_h_interval(x, 0, cls.q)[0] - cls.p + slack))

@@ -8,13 +8,13 @@ import itertools
 import time
 
 from scrollcohom import (DivClass, SheafSpec, character_cohom, check_indecomposable, check_ohf,
-                         check_pure_h, check_rns, compare_regularities, hypercohom,
+                         check_pure_h, check_rns, compare_regularities,
                          is_ms_regular, is_pq_regular, line_cohom, make_scroll, mult_map_rank,
                          omega_cohom, reg, rns_is_pq_regular, sheaf_h)
 from scrollcohom.cohomology import is_globally_generated, zero_table
-from scrollcohom.complexes import cotangent_resolution_left, cotangent_resolution_right, koszul_pullback
+from scrollcohom.complexes import cotangent_resolution_left, cotangent_resolution_right, hypercohom, koszul_pullback
 from scrollcohom.cohomology import euler_char
-from scrollcohom.verify import FAMILY, POSITIVE_FAMILY, _regular_split_samples
+from scrollcohom.verify import FAMILY, POSITIVE_FAMILY, regular_split_samples
 
 SPLIT_SCROLLS = (make_scroll(1, 1, [1, 2]), make_scroll(1, 2, [1, 1, 2]))
 
@@ -237,7 +237,7 @@ def test_criterion_12_positivity_lemmas():
     t0 = time.time()
     bad = []
     for x in POSITIVE_FAMILY:
-        for e in _regular_split_samples(x):
+        for e in regular_split_samples(x):
             for a in range(5):
                 for b in range(5):
                     if sheaf_h(x, e, x.dim, DivClass(a - x.n, x.c - 1 - x.m + b)):

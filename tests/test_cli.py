@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -195,3 +196,15 @@ def test_shared_parser_gives_identical_runs(capsys):
     assert run(capsys, *valid) == first
     assert first[0] == 0 and first[2] == ""
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("sheaf, twist", [(O, "1000000,0"), (O, "-1000000,0"),
+                                          ('{"omega":{"i":1,"twist":[0,0]}}', "1000000,0")],
+                         ids=["line", "serre-dual", "omega"])
+def test_oversized_twist_is_refused_quickly(capsys, sheaf, twist):
+    # the symmetric-power table would need terabytes; it is refused up front
+    t0 = time.process_time()
+    code, out, err = run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", sheaf, f"--twist={twist}")
+    assert time.process_time() - t0 < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget" in err

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scrollcohom import (DivClass, SplitBundle, bundle_cohom, euler_char, hypercohom, is_globally_generated,
+from scrollcohom import (DivClass, SplitBundle, bundle_cohom, euler_char, is_globally_generated,
                          line_cohom, make_scroll, mult_map_rank, omega_cohom, pm_cohom, sym_twists)
+from scrollcohom import cohomology
 from scrollcohom.characters import weak_compositions
 from scrollcohom.cohomology import choose
-from scrollcohom.complexes import cotangent_resolution_left, cotangent_resolution_right
+from scrollcohom.complexes import cotangent_resolution_left, cotangent_resolution_right, hypercohom
 
 X12 = make_scroll(1, 1, [1, 2])
 F2 = make_scroll(1, 1, [0, 2])
@@ -34,6 +35,16 @@ def test_sym_twists():
     assert sym_twists(make_scroll(1, 3, [1, 1, 1, 1]), 4) == ((4, choose(4 + 3, 3)),)
     with pytest.raises(ValueError):
         sym_twists(X12, -1)
+
+
+def test_sym_twists_budget(monkeypatch):
+    # Sym^10 on O(1)+O(2): 11 rows of at most 10*(2-1)+1 cells; the check
+    # runs before any row is built (uncached, through __wrapped__)
+    monkeypatch.setattr(cohomology, "SYM_CELL_BUDGET", 11 * 11)
+    assert cohomology.sym_twists.__wrapped__(X12, 10) == tuple((t, 1) for t in range(10, 21))
+    monkeypatch.setattr(cohomology, "SYM_CELL_BUDGET", 11 * 11 - 1)
+    with pytest.raises(ValueError, match="budget"):
+        cohomology.sym_twists.__wrapped__(X12, 10)
 
 
 @st.composite
@@ -201,15 +212,3 @@ def test_omega_closed_form_calls_no_engine(monkeypatch):
     for i in range(x.n + 1):
         for p in range(-6, 7):
             omega_cohom(x, i, DivClass(p, -1))
-
-
-def test_sheaves_does_not_import_the_engine():
-    import ast
-    import inspect
-
-    from scrollcohom import sheaves
-
-    tree = ast.parse(inspect.getsource(sheaves))
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
-    assert not any(name and name.split(".")[-1] in ("complexes", "linalg", "characters") for name in imported)

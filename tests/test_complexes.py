@@ -1,7 +1,7 @@
 import pytest
 
-from scrollcohom import DivClass, euler_char, hypercohom, line_cohom, make_scroll, omega_cohom
-from scrollcohom.complexes import (MonomialComplex, cotangent_resolution_left,
+from scrollcohom import DivClass, euler_char, line_cohom, make_scroll, omega_cohom
+from scrollcohom.complexes import (MonomialComplex, cotangent_resolution_left, hypercohom,
                                    cotangent_resolution_right, euler_complex, exterior_complex,
                                    koszul_pullback, koszul_pullback_spliced, per_key_dims,
                                    _contributing_keys, single_term_complex, validate_complex)

@@ -2,7 +2,7 @@ import pytest
 
 from scrollcohom import (DivClass, SheafSpec, compare_regularities, is_ms_regular, is_pq_regular,
                          make_scroll, reg, reg_detail, rns_is_pq_regular)
-from scrollcohom.verify import _classical_pn_regular
+from scrollcohom.verify import classical_pn_regular
 
 X12 = make_scroll(1, 1, [1, 2])
 F2 = make_scroll(1, 1, [0, 2])
@@ -100,7 +100,7 @@ def test_m0_reduces_to_classical():
         for twists in ([0], [0, -2], [1, 3], [-1], [2, -3]):
             e = SheafSpec.from_split([(d, 0) for d in twists])
             for p in range(-4, 5):
-                assert is_pq_regular(x, e, p, 0).verdict == _classical_pn_regular(n, twists, p)
+                assert is_pq_regular(x, e, p, 0).verdict == classical_pn_regular(n, twists, p)
 
 
 def test_veronese_case():

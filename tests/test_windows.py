@@ -2,7 +2,7 @@ import pytest
 
 from scrollcohom import DivClass, SheafSpec, make_scroll, nonvanishing_window
 from scrollcohom.splitting import ohf_conditions, pure_h_conditions
-from scrollcohom.windows import eval_cond, line_h_interval
+from scrollcohom.windows import _spec_pieces, eval_cond, line_h_interval
 
 X12 = make_scroll(1, 1, [1, 2])
 
@@ -88,3 +88,24 @@ def test_window_margins_vanish_where_serre_duality_bounds(twist):
     assert any(eval_cond(x, spec, cond, lo) for cond in conds)
     for t in (lo - 1, lo - 2, hi + 1, hi + 2):
         assert all(eval_cond(x, spec, cond, t) == 0 for cond in conds)
+
+
+@pytest.mark.parametrize("x", [X12, make_scroll(1, 2, [1, 1, 2]), make_scroll(2, 2, [1, 1, 1]),
+                               make_scroll(1, 3, [1, 1, 2, 2]), make_scroll(2, 3, [1, 2, 2, 3]),
+                               make_scroll(1, 4, [1, 1, 1, 2, 3])], ids=str)
+def test_omega_pieces_are_the_distinct_right_resolution_terms(x):
+    # production reads the pieces of Omega^i(T) off the subset-sum histogram;
+    # the reference is the right resolution itself, one piece per distinct
+    # (position, class) of its terms
+    from scrollcohom.complexes import cotangent_resolution_right
+
+    for i in range(x.n + 1):
+        res = cotangent_resolution_right(x, i)
+        for p in range(-2, 3):
+            for q in range(-2, 3):
+                t = DivClass(p, q)
+                c = res.twist(t)
+                want = {(pos, sm.cls) for pos, term in zip(c.positions, c.terms) for sm in term}
+                pieces = _spec_pieces(x, SheafSpec.from_omega(i, t))
+                assert len(pieces) == len(set(pieces))
+                assert set(pieces) == want, (i, t)
