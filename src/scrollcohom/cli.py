@@ -14,12 +14,13 @@ import json
 import sys
 
 from .characters import character_cohom, enumerate_contributing, valid_rows
+from .cohomology import add_tables
 from .regularity import compare_regularities, is_ms_regular, is_pq_regular, reg_detail
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec, sheaf_cohom
 from .splitting import THEOREM_IDS, check_theorem
 from .sweep import OPS as SWEEP_OPS
-from .sweep import run_sweep
+from .sweep import check_box, run_sweep
 
 
 class UsageError(ValueError):
@@ -67,13 +68,10 @@ def _cmd_cohom(args) -> int:
     if args.oracle:
         if spec.kind != "split":
             raise UsageError("--oracle applies to split sheaves only")
-        table = [0] * (x.dim + 1)
-        for s in spec.split.summands:
-            for i, h in enumerate(character_cohom(x, s + t)):
-                table[i] += h
-        _emit({"h": table})
+        table = functools.reduce(add_tables, (character_cohom(x, s + t) for s in spec.split.summands))
     else:
-        _emit({"h": list(sheaf_cohom(x, spec, t))})
+        table = sheaf_cohom(x, spec, t)
+    _emit({"h": list(table)})
     return 0
 
 
@@ -81,6 +79,7 @@ def _cmd_table(args) -> int:
     x = _scroll_arg(args.scroll)
     spec = _sheaf_arg(args.sheaf)
     pbox, qbox = _range(args.pbox, "--pbox"), _range(args.qbox, "--qbox")
+    check_box(pbox, qbox)
     rows = []
     for p in range(pbox[0], pbox[1] + 1):
         for q in range(qbox[0], qbox[1] + 1):
@@ -121,8 +120,9 @@ def _cmd_pqreg(args) -> int:
 def _cmd_compare(args) -> int:
     x = _scroll_arg(args.scroll)
     spec = _sheaf_arg(args.sheaf)
-    rep = compare_regularities(x, spec, _range(args.pbox, "--pbox"), _range(args.qbox, "--qbox"))
-    _emit(rep.to_json())
+    pbox, qbox = _range(args.pbox, "--pbox"), _range(args.qbox, "--qbox")
+    check_box(pbox, qbox)
+    _emit(compare_regularities(x, spec, pbox, qbox).to_json())
     return 0
 
 

@@ -9,8 +9,8 @@ A sheaf E is (p,q)-regular when, writing P = p*H + q*F,
 For m = 0 this is the classical notion on projective space, and for n = 0 a
 regularity over Veronese embeddings.  Reg(E) is the least p with E
 (p,0)-regular; on positive scrolls regularity is preserved by nonnegative
-twists, which justifies finding Reg by a downward scan from a provably
-regular twist.
+twists, so Reg is read off the exact nonvanishing intervals of the
+conditions, one more than their largest upper end.
 
 The multigraded notion with respect to the nef pair {H, F} asks instead for
 h^{i+j}(E(P)<-i, -j>) = 0 for all i, j >= 0 with (i,j) != (0,0); degrees
@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec, sheaf_h
-from .windows import Cond, cond_t_intervals
-
-INF = float("inf")
+from .windows import Cond, h_intervals
 
 
 @dataclass(frozen=True)
@@ -133,46 +131,25 @@ class RegResult:
 def reg_detail(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) -> RegResult:
     """Least p with E (p,0)-regular.
 
-    On a positive scroll the scan window is derived from the closed-form
-    nonvanishing ranges of the regularity conditions, every twist above it
-    is provably regular, and monotonicity of regular twists makes the
-    downward scan exact.  On a non-positive scroll without an explicit scan
-    range this is the one default policy, used by the library, the CLI and
-    the sweep: scan p in +-3(dim+2) and flag the result as
-    monotonicity-unverified.
+    On a positive scroll the twists where some regularity condition is
+    nonzero are exactly the union of the conditions' intervals
+    (:func:`scrollcohom.windows.h_intervals`), and regular twists form an
+    up-set, so Reg is one more than the largest upper end and ``scan`` is
+    [Reg-1, Reg].  With an explicit scan range every p in it is checked.  On
+    a non-positive scroll without one this is the one default policy, used
+    by the library, the CLI and the sweep: scan p in +-3(dim+2) and flag the
+    result as monotonicity-unverified.
     """
     if scan is None and not x.is_positive:
         res = reg_detail(x, spec, (-3 * (x.dim + 2), 3 * (x.dim + 2)))
         return RegResult(res.value, False, res.scan, res.flags + ("default-scan-on-non-positive-scroll",))
-    conds = pq_conditions(x)
     if scan is None:
-        finite = []
-        any_interval = False
-        for ivs in cond_t_intervals(x, spec, conds):
-            for lo, hi in ivs:
-                any_interval = True
-                if hi != INF:
-                    finite.append(hi)
-                if lo != -INF:
-                    finite.append(lo)
-        if not any_interval:
+        # pq_conditions read no degree 0, so every upper end is finite
+        ends = [hi for cond in pq_conditions(x) for _, hi in h_intervals(x, spec, cond.k, cond.dp, cond.dq)]
+        if not ends:
             return RegResult(None, True, (0, 0), ("no-condition-can-fail",))
-        # some regular twist exists; monotonicity on positive scrolls makes
-        # the regular set an up-set, so any verified start is sound
-        start = int(max(finite)) + 1 if finite else 1
-        bump = 1
-        while not is_pq_regular(x, spec, start, 0).verdict:
-            start += bump
-            bump *= 2
-            if bump > 4096:
-                raise RuntimeError("no regular twist found; scroll/sheaf outside supported range")
-        floor = min(int(min(finite)) if finite else 0, start) - 4 * (x.dim + 2) - 16
-        p = start
-        while p - 1 >= floor and is_pq_regular(x, spec, p - 1, 0).verdict:
-            p -= 1
-        if p - 1 >= floor:
-            return RegResult(p, True, (p - 1, start))
-        raise RuntimeError("downward regularity scan did not terminate inside the sound window")
+        value = int(max(ends)) + 1
+        return RegResult(value, True, (value - 1, value))
     lo, hi = scan
     verdicts = {p: is_pq_regular(x, spec, p, 0).verdict for p in range(lo, hi + 1)}
     value = None

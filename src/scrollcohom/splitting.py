@@ -33,13 +33,12 @@ their (c) conditions (c1/c2 in 2.3).
 
 'For every integer t' is decided by one interval pass per check,
 :func:`scrollcohom.windows.window_pass`: it gives each condition's own
-t-intervals, outside of which the condition provably vanishes, and the
-sound finite window, the hull of those same intervals (and of the anchors).
-Each condition is evaluated only at the twists inside its intervals,
-clipped to the window.  For a split sheaf those intervals are exact, so
-every evaluation is a witness.  The test suite re-checks all conditions at
-the window margins and compares the result with a scan of every condition
-at every t.
+t-intervals, exactly the twists where the condition is nonzero, for split
+sheaves and Omega^i(T) alike, and the window, the hull of those same
+intervals (and of the anchors), which is reported.  Each condition is
+evaluated only at the twists inside its intervals, so every evaluation is a
+witness.  The test suite re-checks all conditions at the window margins and
+compares the result with a scan of every condition at every t.
 """
 
 from __future__ import annotations
@@ -172,9 +171,8 @@ def indecomposable_hypotheses(x: Scroll) -> list[Cond]:
 
 
 def _scan_window(x: Scroll, spec: SheafSpec, conds: list[Cond], theorem: str) -> SplittingReport:
-    (lo, hi), intervals = window_pass(x, spec, conds)
-    todo = {(t, i) for i, ivs in enumerate(intervals) for a, b in ivs
-            for t in range(max(lo, a), min(hi, b) + 1)}
+    window, intervals = window_pass(x, spec, conds)
+    todo = {(t, i) for i, ivs in enumerate(intervals) for a, b in ivs for t in range(a, b + 1)}
     witnesses = []
     for t, i in sorted(todo):
         cond = conds[i]
@@ -183,7 +181,7 @@ def _scan_window(x: Scroll, spec: SheafSpec, conds: list[Cond], theorem: str) ->
             witnesses.append(Witness(cond.label, t, cond.idx,
                                      DivClass(t + cond.dp, cond.dq),
                                      "dual" if cond.dual else "E", h))
-    return SplittingReport(theorem, not witnesses, tuple(witnesses), window=(lo, hi))
+    return SplittingReport(theorem, not witnesses, tuple(witnesses), window=window)
 
 
 def check_pure_h(x: Scroll, spec: SheafSpec) -> SplittingReport:

@@ -19,12 +19,20 @@ from .regularity import compare_regularities, reg_detail
 from .scroll import DivClass, Scroll, json_int, make_scroll
 from .sheaves import SheafSpec, sheaf_cohom
 
-ENGINE_TAG = "scrollcohom-0.1.0"  # part of every record key: bump it when any stored result changes
+ENGINE_TAG = "scrollcohom-0.1.0+exact-intervals"  # part of every record key: bump it when any stored result changes
 CSV_SCHEMA = "scrollcohom-sweep-v1"
 CACHE_ENV = "SCROLLCOHOM_CACHE"
 MAX_CELLS = 20000
 
 OPS = ("cohom", "reg", "compare")
+
+
+def check_box(pbox, qbox):
+    """Refuse a (p,q) box of more than MAX_CELLS twists: `table`, `compare`
+    and the sweep's compare cells visit every twist in it."""
+    twists = (pbox[1] - pbox[0] + 1) * (qbox[1] - qbox[0] + 1)
+    if twists > MAX_CELLS:
+        raise ValueError(f"the (p,q) box holds {twists} twists, over the {MAX_CELLS} limit; shrink the box")
 
 
 def _canon(obj) -> str:
@@ -86,6 +94,7 @@ def _cells(scrolls, ops, sheaf_json, pbox, qbox):
             elif op == "compare":
                 if not scroll.is_semipositive:
                     continue
+                check_box(pbox, qbox)
                 cells.append((scroll, op, {"sheaf": sheaf_json,
                                            "pbox": list(pbox), "qbox": list(qbox)}))
             else:

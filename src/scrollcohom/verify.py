@@ -28,7 +28,7 @@ from .scroll import DivClass, Scroll, make_scroll, normalize_twist
 from .sheaves import SheafSpec, sheaf_h
 from .splitting import (check_indecomposable, check_ohf, check_pure_h, check_rns,
                         ground_truth_classify, ohf_conditions, pure_h_conditions)
-from .windows import eval_cond
+from .windows import eval_cond, omega_h_intervals
 
 FAMILY = (
     make_scroll(1, 1, [1, 2]),
@@ -357,8 +357,9 @@ def suite_bott() -> list[CheckResult]:
     projective space (m = 0 scrolls), and through the Kuenneth decomposition
     on product scrolls, where the relative cotangent bundle is the pullback
     of the cotangent bundle of the fiber factor.  Both resolutions and
-    omega_cohom's closed form are checked, and the closed form is compared
-    with both resolutions on the koszul and bott boxes."""
+    omega_cohom's closed form are checked, and the closed form and the
+    nonvanishing intervals of :func:`omega_h_intervals` are compared with
+    both resolutions on the koszul and bott boxes."""
     out = []
     bad = []
     for n in (1, 2, 3):
@@ -393,7 +394,7 @@ def suite_bott() -> list[CheckResult]:
     boxes += [(make_scroll(0, n, [0] * (n + 1)), [(d, 0) for d in range(-2 * n - 2, 2 * n + 3)])
               for n in (1, 2, 3)]
     boxes += [(x, _box(-3, 3)) for x in PRODUCT_SCROLLS]
-    bad = []
+    bad, bad_intervals = [], []
     for x, box in boxes:
         for i in range(x.n + 1):
             for p, q in box:
@@ -402,7 +403,12 @@ def suite_bott() -> list[CheckResult]:
                 closed = omega_cohom(x, i, t)
                 if not closed == left == right:
                     bad.append((x, i, t, closed, left, right))
+                for k in range(x.dim + 1) if x.is_positive else ():  # the intervals need a_0 > 0
+                    inside = any(lo <= p <= hi for lo, hi in omega_h_intervals(x, i, k, q))
+                    if not inside == bool(left[k]) == bool(right[k]):
+                        bad_intervals.append((x, i, t, k, inside, left, right))
     out.append(_result("bott", "closed-form-matches-both-resolutions", bad))
+    out.append(_result("bott", "omega-intervals-match-resolutions", bad_intervals))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Sound finite windows for 'for every integer t' vanishing conditions.
+"""Exact nonvanishing intervals and finite windows for 'for every integer t' conditions.
 
 For a line bundle on a positive scroll, the set of H-twists where a fixed
 cohomological degree is nonzero is an explicit interval (possibly empty or
@@ -10,24 +10,26 @@ half-infinite):
     degree n+m    (-inf, -n-1-max(0, ceil(-b/a_n))]
 
 When m = n, degree m needs q <= -m-1 and degree n needs q >= c, so each set
-above is exactly one interval.
+above is exactly one interval.  When m = 0 or n = 0 two rows name the same
+degree and their pieces adjoin, so the hull of the pieces is exact.
 
-Splitting criteria only quantify conditions in middle degrees, so per
-summand every condition has a finite nonvanishing interval.  A check makes
-one pass, :func:`window_pass`: it builds the pieces of E and E^dual once and
-lists each condition's intervals.  Their union is exactly where the
-condition is nonzero for a split sheaf (h^k of a sum adds nonnegative terms)
-and a superset of it for a cotangent twist, whose pieces are the distinct
-right-resolution terms read off ``subset_sums``, position as slack.  The
-window is the hull of those intervals and of each piece's section/top
-cohomology transition (the anchors); outside it every condition vanishes.
+For Omega^i(T) each degree is nonzero on a union of explicit intervals as
+well, read off the three regions of Bott's formula on the fibre
+(:func:`omega_h_intervals`).  :func:`h_intervals` gives, for either sheaf
+kind, exactly the set of t where h^k(E<t + dp, dq>) != 0.
+
+Splitting criteria only quantify conditions in middle degrees, where both
+kinds' intervals are finite.  A check makes one pass, :func:`window_pass`:
+it lists each condition's intervals on E or E^dual, and the window, their
+hull together with the sheaf's section/top cohomology transitions (the
+anchors); outside it every condition vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import check_omega_index, subset_sums
+from .cohomology import check_omega_index
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec, sheaf_h
 
@@ -53,129 +55,102 @@ def _ceil_div(a: int, b: int) -> int:
 def line_h_interval(x: Scroll, k: int, q: int):
     """{P : h^k(O(P*H + q*F)) != 0} as an interval, or None when empty.
 
-    The set is exactly this interval (see the module docstring for m = n).
+    The set is exactly this interval (see the module docstring where
+    degrees coincide).
     Requires a positive scroll so the middle-degree pieces are finite.
     """
     if not x.is_positive:
         raise ValueError("nonvanishing intervals are only finite on positive scrolls")
     pieces = []
-    if x.m == 0:
-        if k == 0:
-            pieces.append((0, INF))
-        if k == x.n:
-            pieces.append((-INF, -x.n - 1))
-    elif x.n == 0:
-        c = x.c
-        if k == 0:
-            pieces.append((_ceil_div(-q, c), INF))
-        if k == x.m:
-            pieces.append((-INF, (-x.m - 1 - q) // c))
-    else:
-        a0, an = x.a[0], x.a[-1]
-        if k == 0:
-            pieces.append((max(0, _ceil_div(-q, an)), INF))
-        if k == x.m:
-            hi = (-x.m - 1 - q) // a0
-            if hi >= 0:
-                pieces.append((0, hi))
-        if k == x.n:
-            b = x.c - q - 1 - x.m
-            amax = (-x.m - 1 - b) // a0
-            if amax >= 0:
-                pieces.append((-x.n - 1 - amax, -x.n - 1))
-        if k == x.dim:
-            b = x.c - q - 1 - x.m
-            pieces.append((-INF, -x.n - 1 - max(0, _ceil_div(-b, an))))
+    a0, an = x.a[0], x.a[-1]
+    if k == 0:
+        pieces.append((max(0, _ceil_div(-q, an)), INF))
+    if k == x.m:
+        hi = (-x.m - 1 - q) // a0
+        if hi >= 0:
+            pieces.append((0, hi))
+    b = x.c - q - 1 - x.m
+    if k == x.n:
+        amax = (-x.m - 1 - b) // a0
+        if amax >= 0:
+            pieces.append((-x.n - 1 - amax, -x.n - 1))
+    if k == x.dim:
+        pieces.append((-INF, -x.n - 1 - max(0, _ceil_div(-b, an))))
     if not pieces:
         return None
     return min(p[0] for p in pieces), max(p[1] for p in pieces)
 
 
-def _spec_pieces(x: Scroll, spec: SheafSpec):
-    """(position, line bundle class) pieces bounding the sheaf's cohomology:
-    the summands of a split bundle; for Omega^i(T) the distinct terms
-    O<T.p - s, T.q + a_I> (|I| = s <= i) of its right resolution, at i - s."""
-    if spec.kind == "split":
-        return [(0, s) for s in spec.split.summands]
-    i, t = spec.omega_i, spec.omega_twist
-    check_omega_index(x, i)
-    return [(i - s, DivClass(t.p - s, t.q + a)) for s in range(i + 1) for a, _ in subset_sums(x)[s]]
-
-
-def _intervals(x: Scroll, pieces, k: int, dp: int, dq: int) -> list[tuple[float, float]]:
-    """Per piece (pos, cls): the t-interval where degree k - pos of
-    cls<t + dp, dq> is nonzero."""
+def _hook_intervals(x: Scroll, i: int, k: int, q: int) -> list:
+    """{P > i : h^k(Omega^i<P, q>) != 0}.  pi_* Omega^i(PH) is split with top
+    twist (P-i)a_n + a_{n-i} + ... + a_{n-1} and bottom twist
+    (P-i)a_0 + a_1 + ... + a_i, each of multiplicity 1, so degree 0 needs
+    top + q >= 0 and degree m needs bottom + q <= -m-1."""
     out = []
-    for pos, cls in pieces:
-        if 0 <= k - pos <= x.dim:
-            iv = line_h_interval(x, k - pos, cls.q + dq)
-            if iv is not None:
-                out.append((iv[0] - cls.p - dp, iv[1] - cls.p - dp))
+    if k == 0:
+        top = sum(x.a[x.n - i:x.n])
+        out.append((i + max(1, _ceil_div(-q - top, x.a[-1])), INF))
+    if k == x.m:
+        hi = i + (-x.m - 1 - q - sum(x.a[1:i + 1])) // x.a[0]
+        if hi > i:
+            out.append((i + 1, hi))
     return out
 
 
-def _side_pieces(x: Scroll, spec: SheafSpec, sides) -> dict:
-    """The pieces of E (side False) and of E^dual (side True), each side
-    asked for built once."""
-    return {side: _spec_pieces(x, spec.dual(x) if side else spec) for side in sides}
+def omega_h_intervals(x: Scroll, i: int, k: int, q: int) -> list:
+    """{P : h^k(Omega^i<P, q>) != 0} as a list of intervals whose union is
+    exactly that set, read off the three regions of ``omega_cohom``: P > i
+    (:func:`_hook_intervals`), P = 0 (degree i for q >= 0, degree i+m for
+    q <= -m-1) and P < i-n, the P > n-i part of Omega^{n-i} at -q-m-1 and
+    degree dim-k, reflected by P -> -P.  Where two degrees coincide (m = 0,
+    i = m, ...) the list holds the pieces of both.  Requires a positive
+    scroll."""
+    if not x.is_positive:
+        raise ValueError("nonvanishing intervals are only finite on positive scrolls")
+    check_omega_index(x, i)
+    out = _hook_intervals(x, i, k, q)
+    if (k == i and q >= 0) or (k == i + x.m and q <= -x.m - 1):
+        out.append((0, 0))
+    out += [(-hi, -lo) for lo, hi in _hook_intervals(x, x.n - i, x.dim - k, -q - x.m - 1)]
+    return out
 
 
-def _cond_intervals(x: Scroll, pieces: dict, conds: list[Cond]) -> list:
-    return [_intervals(x, pieces[cond.dual], cond.k, cond.dp, cond.dq) for cond in conds]
-
-
-def cond_t_intervals(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> list:
-    """Per condition, the t-intervals outside of which it surely vanishes:
-    intervals[i] belongs to conds[i].
-
-    Per piece (a summand, or a resolution term at homological position pos)
-    a condition's group can be nonzero only where degree k - pos of the
-    piece is, so the union of these intervals contains the true
-    nonvanishing set; for a split sheaf (all pieces at pos = 0, adding
-    nonnegative terms) it equals that set.  The pieces of each side the
-    conditions read are built once for the whole list.
-    """
-    return _cond_intervals(x, _side_pieces(x, spec, {cond.dual for cond in conds}), conds)
+def h_intervals(x: Scroll, spec: SheafSpec, k: int, dp: int, dq: int) -> list:
+    """The t with h^k(spec<t + dp, dq>) != 0, exactly, as a list of
+    intervals: one per summand of a split sheaf (:func:`line_h_interval`),
+    the pieces of :func:`omega_h_intervals` for Omega^i(T)."""
+    if spec.kind == "split":
+        out = []
+        for s in spec.split.summands:
+            iv = line_h_interval(x, k, s.q + dq)
+            if iv is not None:
+                out.append((iv[0] - s.p - dp, iv[1] - s.p - dp))
+        return out
+    t = spec.omega_twist
+    return [(lo - t.p - dp, hi - t.p - dp) for lo, hi in omega_h_intervals(x, spec.omega_i, k, t.q + dq)]
 
 
 def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[tuple[int, int], list]:
     """One pass over a condition family: ((t_lo, t_hi), intervals), where
-    intervals is :func:`cond_t_intervals` of conds and every condition
-    vanishes for all t outside the window [t_lo, t_hi].
+    intervals[j] is :func:`h_intervals` of conds[j] on E or E^dual.
 
-    The pieces of E and E^dual are built once.  The window is the hull of
-    each condition's intervals and of the anchors.  A half-infinite hull
-    (a piece with k - pos = 0 or dim) is cut by Serre duality:
-    h^k(S<t+dp, dq>) = h^{dim-k}(S^dual<K - (t+dp, dq)>), whose intervals
-    run in the opposite t-direction, so the intersection is finite.
-    Raises on non-positive scrolls or if a condition stays unbounded.
+    Every condition vanishes outside its own intervals, so also outside the
+    window, the hull of all intervals and of the anchors: the lowest end of
+    the degree-dim intervals and the highest start of the degree-0 intervals
+    of E and, when some condition reads it, of E^dual.  E^dual is built
+    once.  Raises if a condition is nonzero for unboundedly many t.
     """
-    pieces = _side_pieces(x, spec, (False, True))
-    intervals = _cond_intervals(x, pieces, conds)
-    hulls = []
-    kx = x.canonical_class()
+    sides = {False: spec}
+    if any(cond.dual for cond in conds):
+        sides[True] = spec.dual(x)
+    intervals = [h_intervals(x, sides[cond.dual], cond.k, cond.dp, cond.dq) for cond in conds]
     for cond, ivs in zip(conds, intervals):
-        if not ivs:
-            continue
-        lo, hi = min(iv[0] for iv in ivs), max(iv[1] for iv in ivs)
-        if lo == -INF or hi == INF:
-            # the Serre-dual intervals, reflected t -> -t
-            dual = _intervals(x, pieces[not cond.dual], x.dim - cond.k, kx.p - cond.dp, kx.q - cond.dq)
-            if not dual:
-                continue
-            lo, hi = max(lo, -max(iv[1] for iv in dual)), min(hi, -min(iv[0] for iv in dual))
-            if lo > hi:
-                continue
-            if lo == -INF or hi == INF:
-                raise ValueError(f"no finite bound for condition {cond}")
-        hulls.append((lo, hi))
-    # anchors: each piece's section/top cohomology transition, so the window
-    # covers the twists where the sheaf itself lives
-    for side in (False, True) if any(c.dual for c in conds) else (False,):
-        slack = max(abs(pos) for pos, _ in pieces[side])
-        for _, cls in pieces[side]:
-            hulls.append((line_h_interval(x, x.dim, cls.q)[1] - cls.p - slack,
-                          line_h_interval(x, 0, cls.q)[0] - cls.p + slack))
+        if any(lo == -INF or hi == INF for lo, hi in ivs):
+            raise ValueError(f"no finite bound for condition {cond}")
+    hulls = [iv for ivs in intervals for iv in ivs]
+    for side in sides.values():
+        hulls.append((min(iv[1] for iv in h_intervals(x, side, x.dim, 0, 0)),
+                      max(iv[0] for iv in h_intervals(x, side, 0, 0, 0))))
     return (int(min(h[0] for h in hulls)), int(max(h[1] for h in hulls))), intervals
 
 

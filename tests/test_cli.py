@@ -208,3 +208,40 @@ def test_oversized_twist_is_refused_quickly(capsys, sheaf, twist):
     assert time.process_time() - t0 < 1
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--scroll", SCROLL, "--twist=100000,0"],
+    ["oracle", "--scroll", SCROLL, "--twist=100000,0", "--row", "0"],
+    ["oracle", "--scroll", SCROLL, "--twist=-100000,0", "--row", "2"],
+    ["cohom", "--scroll", SCROLL, "--sheaf", O, "--twist=100000,0", "--oracle"],
+], ids=["oracle", "oracle-row", "oracle-row-top", "cohom-oracle"])
+def test_oversized_oracle_listing_is_refused_quickly(capsys, argv):
+    # the character listing is bounded from binomial counts before it starts
+    t0 = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - t0 < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--scroll", SCROLL, "--sheaf", O, "--pbox=0:0", "--qbox=-100000:100000", "--fmt", "json"],
+    ["compare", "--scroll", F2, "--sheaf", O, "--pbox=-200:200", "--qbox=-200:200"],
+    ["sweep", "--family", '{"m":[1],"n":[1],"a_min":1,"a_max":1}', "--ops", "compare",
+     "--pbox=-200:200", "--qbox=-200:200"],
+], ids=["table", "compare", "sweep-compare"])
+def test_oversized_box_is_refused_quickly(capsys, tmp_path, argv):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    t0 = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - t0 < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "20000 limit" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_box_at_the_limit_is_accepted(capsys):
+    code, out, _ = run(capsys, "table", "--scroll", SCROLL, "--sheaf", O, "--pbox=0:0", "--qbox=-9999:10000")
+    assert code == 0 and len(out.splitlines()) == 20001

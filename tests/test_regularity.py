@@ -122,24 +122,35 @@ def test_omega_regularity_measured():
     assert reg(y, SheafSpec.from_omega(1, DivClass(2, -2))) == 0
 
 
-def test_reg_detail_builds_the_pieces_once(monkeypatch):
-    # one build of E's pieces for all (p,q)-regularity conditions, not one
-    # per condition; at most two (E and its dual) per call
-    from scrollcohom import windows
+REG_SCROLLS = (X12, make_scroll(1, 2, [1, 1, 2]), make_scroll(2, 2, [1, 2, 3]), make_scroll(0, 2, [1, 1, 2]),
+               make_scroll(2, 0, [2]))
 
-    calls = []
-    real = windows._spec_pieces
 
-    def counted(x, spec):
-        calls.append(spec)
-        return real(x, spec)
+def _reg_specs(x):
+    specs = [SheafSpec.from_split(s) for s in ([(0, 0)], [(0, 1), (1, -1)], [(-2, 1)], [(1, 3), (-1, -2)])]
+    return specs + [SheafSpec.from_omega(i, DivClass(p, q)) for i in range(x.n + 1)
+                    for p, q in ((0, 0), (2, -2), (-1, 1), (3, 1))]
 
-    monkeypatch.setattr(windows, "_spec_pieces", counted)
-    for x in (X12, make_scroll(1, 2, [1, 1, 2]), make_scroll(2, 2, [1, 2, 3])):
-        specs = [O, SheafSpec.from_split([(0, 1), (1, -1)])]
-        specs += [SheafSpec.from_omega(i, DivClass(p, -p)) for i in range(x.n + 1) for p in (0, 2)]
-        for spec in specs:
-            calls.clear()
+
+def test_reg_matches_explicit_scan_oracle():
+    # Reg read off the intervals against checking every p of a wide scan
+    for x in REG_SCROLLS:
+        for spec in _reg_specs(x):
             res = reg_detail(x, spec)
-            assert res.value is not None
-            assert 1 <= len(calls) <= 2, (x, spec.describe(), len(calls))
+            v = res.value
+            assert res.monotone_verified and res.scan == (v - 1, v) and not res.flags
+            oracle = reg_detail(x, spec, (v - x.dim - 3, v + x.dim + 3))
+            assert oracle.monotone_verified and oracle.value == v, (x, spec.describe())
+
+
+def test_reg_detail_makes_no_regularity_scan(monkeypatch):
+    # on a positive scroll Reg comes from the intervals alone
+    from scrollcohom import regularity
+
+    def refuse(*args):
+        raise AssertionError("reg_detail scanned is_pq_regular")
+
+    monkeypatch.setattr(regularity, "is_pq_regular", refuse)
+    for x in REG_SCROLLS:
+        for spec in _reg_specs(x):
+            assert reg_detail(x, spec).value is not None

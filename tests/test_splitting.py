@@ -162,6 +162,7 @@ def test_interval_scan_matches_full_window_scan(x, specs):
 
 
 def test_split_scan_evaluates_only_witnesses(monkeypatch):
+    # exact intervals on both sheaf kinds: every eval_cond call is a witness
     from scrollcohom import splitting
 
     calls = []
@@ -172,7 +173,9 @@ def test_split_scan_evaluates_only_witnesses(monkeypatch):
 
     monkeypatch.setattr(splitting, "eval_cond", counting_eval)
     some_witness = False
-    for x, spec in itertools.product(SPLIT_SCROLLS, _split_specs(BOX)):
+    cases = list(itertools.product(SPLIT_SCROLLS, _split_specs(BOX)))
+    cases += [(x, spec) for x in (X112, X123, Y) for spec in _omega_specs(x, BOX[::2])]
+    for x, spec in cases:
         for theorem in _scan_theorems(x):
             calls.clear()
             report = check_theorem(x, spec, theorem)

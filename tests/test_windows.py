@@ -1,8 +1,8 @@
 import pytest
 
-from scrollcohom import DivClass, SheafSpec, make_scroll, nonvanishing_window
+from scrollcohom import Cond, DivClass, SheafSpec, make_scroll, nonvanishing_window
 from scrollcohom.splitting import ohf_conditions, pure_h_conditions
-from scrollcohom.windows import _spec_pieces, eval_cond, line_h_interval
+from scrollcohom.windows import eval_cond, h_intervals, line_h_interval, omega_h_intervals
 
 X12 = make_scroll(1, 1, [1, 2])
 
@@ -78,9 +78,8 @@ def test_window_margins_vanish_omega():
 
 @pytest.mark.parametrize("twist", [(-2, 1), (-1, 2), (0, 1)], ids=str)
 def test_window_margins_vanish_where_serre_duality_bounds(twist):
-    # Omega^2 here has 2.1 conditions whose resolution intervals are
-    # half-infinite; only their Serre-dual bound puts the lowest witness
-    # inside the window, the anchors do not reach it
+    # Omega^2 here has 2.1 conditions whose lowest witness lies below the
+    # anchors; the exact intervals reach it, so it is the window's lower end
     x = make_scroll(2, 2, [1, 2, 3])
     spec = SheafSpec.from_omega(2, DivClass(*twist))
     conds = pure_h_conditions(x)
@@ -90,22 +89,32 @@ def test_window_margins_vanish_where_serre_duality_bounds(twist):
         assert all(eval_cond(x, spec, cond, t) == 0 for cond in conds)
 
 
-@pytest.mark.parametrize("x", [X12, make_scroll(1, 2, [1, 1, 2]), make_scroll(2, 2, [1, 1, 1]),
-                               make_scroll(1, 3, [1, 1, 2, 2]), make_scroll(2, 3, [1, 2, 2, 3]),
-                               make_scroll(1, 4, [1, 1, 1, 2, 3])], ids=str)
-def test_omega_pieces_are_the_distinct_right_resolution_terms(x):
-    # production reads the pieces of Omega^i(T) off the subset-sum histogram;
-    # the reference is the right resolution itself, one piece per distinct
-    # (position, class) of its terms
-    from scrollcohom.complexes import cotangent_resolution_right
+@pytest.mark.parametrize("x", [X12, make_scroll(1, 1, [1, 1]), make_scroll(2, 2, [1, 2, 3]),
+                               make_scroll(1, 3, [1, 1, 2, 2]), make_scroll(3, 1, [2, 3]),
+                               make_scroll(0, 2, [1, 1, 1]), make_scroll(0, 3, [1, 2, 2, 3]),
+                               make_scroll(2, 0, [2]), make_scroll(1, 0, [3])], ids=str)
+def test_omega_h_intervals_are_exact(x):
+    # the union of the pieces is exactly where omega_cohom is nonzero, in
+    # every degree, including m = 0 and n = 0 where degrees coincide
+    from scrollcohom import omega_cohom
 
     for i in range(x.n + 1):
-        res = cotangent_resolution_right(x, i)
-        for p in range(-2, 3):
-            for q in range(-2, 3):
-                t = DivClass(p, q)
-                c = res.twist(t)
-                want = {(pos, sm.cls) for pos, term in zip(c.positions, c.terms) for sm in term}
-                pieces = _spec_pieces(x, SheafSpec.from_omega(i, t))
-                assert len(pieces) == len(set(pieces))
-                assert set(pieces) == want, (i, t)
+        for k in range(x.dim + 1):
+            for q in range(-7, 8):
+                ivs = omega_h_intervals(x, i, k, q)
+                inside = {p for p in range(-15, 16) if any(lo <= p <= hi for lo, hi in ivs)}
+                nonzero = {p for p in range(-15, 16) if omega_cohom(x, i, DivClass(p, q))[k]}
+                assert inside == nonzero, (i, k, q, ivs)
+
+
+def test_h_intervals_shift_by_twist_and_condition():
+    x = make_scroll(1, 2, [1, 1, 2])
+    for i in range(x.n + 1):
+        spec = SheafSpec.from_omega(i, DivClass(2, -1))
+        for k in range(1, x.dim):
+            ivs = h_intervals(x, spec, k, -1, 3)
+            for t in range(-12, 13):
+                inside = any(lo <= t <= hi for lo, hi in ivs)
+                assert inside == bool(eval_cond(x, spec, Cond("z", k, -1, 3), t)), (i, k, t)
+    with pytest.raises(ValueError):
+        omega_h_intervals(make_scroll(1, 1, [0, 2]), 1, 1, 0)
