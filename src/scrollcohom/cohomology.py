@@ -5,8 +5,10 @@ The pushforward of O(pH + qF) to the base is Sym^p(V)(q) when p >= 0, a sum
 of line bundles O(t + q), one per weak composition of p.  Cohomology therefore
 sits in degrees 0 and m for p >= 0, vanishes for -n <= p < 0, and for p < -n
 is computed by relative duality from Sym^{-p-n-1}(V)(c-q-1-m), landing in
-degrees n and n+m.  Line cohomology sums over a histogram of the twists t,
-counted in O(n p^2 (a_n - a_0)) work without listing the compositions.
+degrees n and n+m.  Line cohomology sums h^0 and h^m of O(t + q) on P^m
+over a histogram of the twists t, counted without listing the compositions
+by a dynamic program whose rows are packed into big integers, one field per
+twist: O(n p) big-integer shift-adds.
 
 Omega^i(pH + qF), the i-th exterior power of the relative cotangent bundle,
 is read off Bott's formula on the fibre P^n: its pushforward lives in one
@@ -15,28 +17,24 @@ line bundles whose twists are counted by the same histograms, together with
 the subset sums a_I of :func:`subset_sums`.  Tables are plain tuples of
 length n+m+1.
 
-All dimension arithmetic is unbounded-integer exact; binomials are built
-multiplicatively.
+All dimension arithmetic is unbounded-integer exact; binomials come from
+:func:`math.comb`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from math import comb
 
 from .scroll import ZERO, DivClass, Scroll
 
 
 def choose(n: int, k: int) -> int:
-    """C(n, k) for n, k >= 0 (0 outside that range), without factorials."""
+    """C(n, k) for n, k >= 0 (0 outside that range)."""
     if k < 0 or n < 0 or k > n:
         return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    return comb(n, k)
 
 
 def monomial_count(m: int, d: int) -> int:
@@ -52,36 +50,61 @@ def pm_cohom(m: int, d: int) -> tuple[int, int]:
     return monomial_count(m, d), monomial_count(m, -d - 1 - m)
 
 
+def _base_sum(m: int, hist, d: int) -> tuple[int, int]:
+    """(h^0, h^m) on P^m summed over a twist histogram: sum of mult * pm_cohom(m, t + d)
+    over the pairs (t, mult), with the two binomials inlined.  For m = 0 both
+    values belong to degree 0, as in :func:`pm_cohom`."""
+    h0 = hm = 0
+    for t, mult in hist:
+        u = t + d
+        if u >= 0:
+            h0 += mult * comb(u + m, m)
+        elif u <= -m - 1:
+            hm += mult * comb(-u - 1, m)
+    return h0, hm
+
+
 # Most cells the sym_twists dynamic program may hold, counted as
 # (k+1) * (k*(a_n - a_0) + 1): k+1 rows, none longer than the last.  Near
-# 10^7 cells the process peaked at 210-280 MB resident (n = 4 and n = 12,
-# 64-bit CPython 3.11); larger queries are refused instead of exhausting
-# memory.  Every query of the tests, the verify suites and the benchmark
-# stays below 2*10^5 cells.
+# 10^7 cells the process peaked at 58 MB resident for n = 4 and 139 MB for
+# n = 12 (64-bit CPython 3.11); the packed rows grow with the field width,
+# about log2 C(k+n, n) bits.  Larger queries are refused instead of
+# exhausting memory.  Every query of the tests, the verify suites and the
+# benchmark stays below 2*10^5 cells.
 SYM_CELL_BUDGET = 10**7
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def sym_twists(x: Scroll, k: int) -> tuple[tuple[int, int], ...]:
     """Histogram of the base twists of Sym^k(V): sorted pairs (t, mult), mult
     counting the weak compositions beta of k with beta . a = t, i.e. the
-    coefficient of u^k z^t in prod_j 1/(1 - u z^{a_j}), in O(n k^2 (a_n - a_0)).
+    coefficient of u^k z^t in prod_j 1/(1 - u z^{a_j}).
+
+    Each row of the dynamic program is one integer holding a polynomial in z
+    (Kronecker substitution): field s, w bytes wide, is the count for twist
+    l*a_0 + s.  No count exceeds C(k+n, n), which fits in w bytes, so fields
+    never carry and adding a variable is one shift-add per row: O(n k)
+    big-integer shift-adds on rows of at most k*(a_n - a_0)+1 fields.
     Raises ValueError when the table would exceed SYM_CELL_BUDGET cells."""
     if k < 0:
         raise ValueError("symmetric power index must be nonnegative")
-    cells = (k + 1) * (k * (x.a[-1] - x.a[0]) + 1)
+    a0 = x.a[0]
+    length = k * (x.a[-1] - a0) + 1
+    cells = (k + 1) * length
     if cells > SYM_CELL_BUDGET:
         raise ValueError(f"Sym^{k} on this scroll needs {cells} table cells, "
                          f"over the budget of {SYM_CELL_BUDGET}")
-    # rows[l][s]: compositions of l over the variables so far with twist l*a_0 + s
-    rows = [[1] for _ in range(k + 1)]
+    w = (comb(k + x.n, x.n).bit_length() + 8) // 8
+    # rows[l], field s: compositions of l over the variables so far with twist l*a_0 + s
+    rows = [1] * (k + 1)
     for aj in x.a[1:]:
-        b = aj - x.a[0]
+        shift = 8 * w * (aj - a0)
         for l in range(1, k + 1):
-            row, prev = rows[l], rows[l - 1]
-            row += [0] * (len(prev) + b - len(row))
-            row[b:] = map(add, row[b:], prev)
-    return tuple((s + k * x.a[0], c) for s, c in enumerate(rows[k]) if c)
+            rows[l] += rows[l - 1] << shift
+    raw = rows[k].to_bytes(length * w, "little")
+    from_bytes = int.from_bytes
+    fields = (from_bytes(raw[i:i + w], "little") for i in range(0, length * w, w))
+    return tuple((t, c) for t, c in enumerate(fields, k * a0) if c)
 
 
 @lru_cache(maxsize=1024)
@@ -113,16 +136,13 @@ def line_cohom(x: Scroll, d: DivClass) -> tuple[int, ...]:
     table = [0] * (x.dim + 1)
     p, q = d.p, d.q
     if p >= 0:
-        for t, mult in sym_twists(x, p):
-            h0, hm = pm_cohom(x.m, t + q)
-            table[0] += mult * h0
-            table[x.m] += mult * hm
+        h0, hm = _base_sum(x.m, sym_twists(x, p), q)
+        table[0] += h0
+        table[x.m] += hm
     elif p < -x.n:
-        b = x.c - q - 1 - x.m
-        for t, mult in sym_twists(x, -p - x.n - 1):
-            h0, hm = pm_cohom(x.m, t + b)
-            table[x.dim] += mult * h0
-            table[x.n] += mult * hm
+        h0, hm = _base_sum(x.m, sym_twists(x, -p - x.n - 1), x.c - q - 1 - x.m)
+        table[x.dim] += h0
+        table[x.n] += hm
     return tuple(table)
 
 
@@ -180,10 +200,9 @@ def omega_cohom(x: Scroll, i: int, t: DivClass) -> tuple[int, ...]:
         table[i] += h0
         table[i + x.m] += hm
     elif p > i:
-        for u, mult in _hook_twists(x, i, p).items():
-            h0, hm = pm_cohom(x.m, u + q)
-            table[0] += mult * h0
-            table[x.m] += mult * hm
+        h0, hm = _base_sum(x.m, _hook_twists(x, i, p).items(), q)
+        table[0] += h0
+        table[x.m] += hm
     return tuple(table)
 
 
@@ -254,6 +273,13 @@ def _bump(vec: tuple[int, ...], i: int) -> tuple[int, ...]:
     return vec[:i] + (vec[i] + 1,) + vec[i + 1:]
 
 
+def _listing_bound(x: Scroll, d: DivClass) -> int:
+    """Upper bound on len(section_monomials(x, d)) from binomial counts alone:
+    C(p+n, n) betas, each with beta . a <= p*a_n and so with at most
+    C(p*a_n + q + m, m) alphas."""
+    return monomial_count(x.n, d.p) * monomial_count(x.m, d.p * x.a[-1] + d.q)
+
+
 def mult_map_rank(x: Scroll, e: SplitBundle, by: DivClass) -> tuple[int, int]:
     """Rank and target dimension of a section multiplication map.
 
@@ -261,26 +287,35 @@ def mult_map_rank(x: Scroll, e: SplitBundle, by: DivClass) -> tuple[int, int]:
     base variables.  by = (1,0): (+)_k H^0(E(a_k F)) -> H^0(E(H)),
     multiplication by the fiber variables.  Products of basis monomials are
     monomials, so the image dimension is the number of distinct products.
+    Raises ValueError, before listing anything, when the monomials to list
+    could exceed the character oracle's budget.
     """
+    from .characters import ORACLE_BUDGET
+
     by = DivClass(by.p, by.q)
+    if by == DivClass(0, 1):
+        shifts = (ZERO,)
+    elif by == DivClass(1, 0):
+        shifts = tuple(DivClass(0, ak) for ak in x.a)
+    else:
+        raise ValueError("multiplication is supported for twists (0,1) and (1,0) only")
+    bound = sum(_listing_bound(x, s + by) + sum(_listing_bound(x, s + sh) for sh in shifts)
+                for s in e.summands)
+    if bound > ORACLE_BUDGET:
+        raise ValueError(f"multiplication by {by.to_json()} would list up to {bound} monomials, "
+                         f"over the budget of {ORACLE_BUDGET}")
     rank = 0
     target = 0
-    if by == DivClass(0, 1):
-        for s in e.summands:
-            target += len(section_monomials(x, s + by))
-            products = set()
+    for s in e.summands:
+        target += len(section_monomials(x, s + by))
+        products = set()
+        if by == DivClass(0, 1):
             for beta, alpha in section_monomials(x, s):
                 for i in range(x.m + 1):
                     products.add((beta, _bump(alpha, i)))
-            rank += len(products)
-    elif by == DivClass(1, 0):
-        for s in e.summands:
-            target += len(section_monomials(x, s + by))
-            products = set()
-            for k, ak in enumerate(x.a):
-                for beta, alpha in section_monomials(x, s + DivClass(0, ak)):
+        else:
+            for k, sh in enumerate(shifts):
+                for beta, alpha in section_monomials(x, s + sh):
                     products.add((_bump(beta, k), alpha))
-            rank += len(products)
-    else:
-        raise ValueError("multiplication is supported for twists (0,1) and (1,0) only")
+        rank += len(products)
     return rank, target

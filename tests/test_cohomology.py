@@ -33,6 +33,11 @@ def test_sym_twists():
     assert sym_twists(X12, 0) == ((0, 1),)
     assert sym_twists(make_scroll(1, 2, [1, 1, 2]), 1) == ((1, 2), (2, 1))
     assert sym_twists(make_scroll(1, 3, [1, 1, 1, 1]), 4) == ((4, choose(4 + 3, 3)),)
+    # packed-field widths: a count of exactly 256 (past one byte), 2^16 + 1
+    # (past two) and C(106, 6) > 2^30 (CPython's digit size)
+    assert sym_twists(make_scroll(1, 1, [2, 2]), 255) == ((510, 256),)
+    assert sym_twists(make_scroll(1, 1, [3, 3]), 2**16) == ((3 * 2**16, 2**16 + 1),)
+    assert sym_twists(make_scroll(1, 6, [1] * 7), 100) == ((100, choose(106, 6)),)
     with pytest.raises(ValueError):
         sym_twists(X12, -1)
 
@@ -45,6 +50,15 @@ def test_sym_twists_budget(monkeypatch):
     monkeypatch.setattr(cohomology, "SYM_CELL_BUDGET", 11 * 11 - 1)
     with pytest.raises(ValueError, match="budget"):
         cohomology.sym_twists.__wrapped__(X12, 10)
+
+
+def test_sym_twists_wide_fields_across_twists():
+    # a = (0^6, 1): the count at twist t is C(100 - t + 5, 5), the total
+    # C(106, 6) > 2^30, so neighbouring fields of many sizes sit side by side
+    x = make_scroll(1, 6, [0] * 6 + [1])
+    hist = sym_twists(x, 100)
+    assert hist == tuple((t, choose(105 - t, 5)) for t in range(101))
+    assert sum(mult for _, mult in hist) == choose(106, 6) > 2**30
 
 
 @st.composite
@@ -60,6 +74,7 @@ def scrolls(draw):
 @example(x=make_scroll(2, 0, [-3]), k=8)  # n = 0
 @example(x=make_scroll(1, 3, [2, 2, 2, 5]), k=7)  # repeated twists
 @example(x=make_scroll(1, 2, [-4, -4, -1]), k=6)  # all twists negative
+@example(x=make_scroll(1, 1, [2, 2]), k=255)  # a count of 256, past one byte
 def test_sym_twists_matches_enumeration(x, k):
     hist = sym_twists(x, k)
     want = Counter(sum(aj * bj for aj, bj in zip(x.a, beta)) for beta in weak_compositions(k, x.n + 1))
@@ -80,6 +95,47 @@ def test_line_cohom_high_degree():
         d = x.divclass(p, -7)
         t1, t2 = line_cohom(x, d), line_cohom(x, x.serre_dual_twist(d))
         assert any(t1) and all(t1[i] == t2[x.dim - i] for i in range(x.dim + 1))
+
+
+def _line_by_pm_cohom(x, d):
+    # the histogram sum written out term by term with pm_cohom
+    table = [0] * (x.dim + 1)
+    if d.p >= 0:
+        twists, shift, lo, hi = sym_twists(x, d.p), d.q, 0, x.m
+    elif d.p < -x.n:
+        twists, shift, lo, hi = sym_twists(x, -d.p - x.n - 1), x.c - d.q - 1 - x.m, x.dim, x.n
+    else:
+        return tuple(table)
+    for t, mult in twists:
+        h0, hm = pm_cohom(x.m, t + shift)
+        table[lo] += mult * h0
+        table[hi] += mult * hm
+    return tuple(table)
+
+
+@pytest.mark.parametrize("x", [X12, make_scroll(0, 2, [-1, 0, 3]), make_scroll(2, 0, [-3]),
+                               make_scroll(0, 1, [2, 2]), make_scroll(1, 2, [-4, -2, 1]),
+                               make_scroll(3, 1, [0, 2])])
+def test_line_cohom_matches_pm_cohom_sum(x):
+    for p in range(-x.n - 5, 7):
+        for q in range(-9, 10):
+            d = DivClass(p, q)
+            assert line_cohom(x, d) == _line_by_pm_cohom(x, d), (x, d)
+
+
+def test_second_routes_skip_the_base_sum(monkeypatch):
+    # the character oracle and hypercohomology check line_cohom, so neither
+    # may share its histogram sum
+    from scrollcohom.characters import character_cohom
+    from scrollcohom.complexes import single_term_complex
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second route reached cohomology._base_sum")
+
+    monkeypatch.setattr(cohomology, "_base_sum", forbidden)
+    for p in (-4, -1, 0, 2):
+        d = DivClass(p, 1)
+        assert character_cohom(X12, d) == hypercohom(X12, single_term_complex(X12, d))
 
 
 def test_line_cohom_frozen_values():
@@ -148,6 +204,17 @@ def test_mult_map_rank():
     assert mult_map_rank(X12, SplitBundle((DivClass(0, -1),)), DivClass(0, 1)) == (0, 1)
     with pytest.raises(ValueError):
         mult_map_rank(X12, e, DivClass(1, 1))
+
+
+def test_mult_map_rank_budget():
+    # the binomial bound refuses the call before any monomial is listed
+    import time
+
+    t0 = time.process_time()
+    with pytest.raises(ValueError, match="budget"):
+        mult_map_rank(X12, SplitBundle((DivClass(3000, 0),)), DivClass(0, 1))
+    assert time.process_time() - t0 < 0.1
+    assert mult_map_rank(X12, SplitBundle((DivClass(60, 0),)), DivClass(0, 1)) == (5612, 5612)
 
 
 def test_serre_duality_box():
