@@ -21,6 +21,10 @@ suite checks that they do over large twist boxes.
 Enumeration is finite for every (class, row): rows with beta >= 0 fix
 |beta| = p, rows with beta <= -1 fix |beta| = p <= -(n+1), and alpha is
 then pinned by the class equation.
+
+The same monomial listings give the ranks of section multiplication maps
+(:func:`mult_map_rank`), which the verify suites compare with the closed
+forms.  No production module imports this one.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cohomology import monomial_count
-from .scroll import DivClass, Scroll
+from .cohomology import SplitBundle, monomial_count
+from .scroll import ZERO, DivClass, Scroll
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,69 @@ def weak_compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in weak_compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def section_monomials(x: Scroll, d: DivClass) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Monomial basis (beta, alpha) of the sections of O(d)."""
+    p, q = d.p, d.q
+    out = []
+    if p < 0:
+        return out
+    for beta in weak_compositions(p, x.n + 1):
+        s = q + sum(aj * bj for aj, bj in zip(x.a, beta))
+        for alpha in weak_compositions(s, x.m + 1):
+            out.append((beta, alpha))
+    return out
+
+
+def _bump(vec: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return vec[:i] + (vec[i] + 1,) + vec[i + 1:]
+
+
+def _listing_bound(x: Scroll, d: DivClass) -> int:
+    """Upper bound on len(section_monomials(x, d)) from binomial counts alone:
+    C(p+n, n) betas, each with beta . a <= p*a_n and so with at most
+    C(p*a_n + q + m, m) alphas."""
+    return monomial_count(x.n, d.p) * monomial_count(x.m, d.p * x.a[-1] + d.q)
+
+
+def mult_map_rank(x: Scroll, e: SplitBundle, by: DivClass) -> tuple[int, int]:
+    """Rank and target dimension of a section multiplication map.
+
+    by = (0,1): H^0(E) (x) H^0(O(F)) -> H^0(E(F)), multiplication by the
+    base variables.  by = (1,0): (+)_k H^0(E(a_k F)) -> H^0(E(H)),
+    multiplication by the fiber variables.  Products of basis monomials are
+    monomials, so the image dimension is the number of distinct products.
+    Raises ValueError, before listing anything, when the monomials to list
+    could exceed the character oracle's budget.
+    """
+    by = DivClass(by.p, by.q)
+    if by == DivClass(0, 1):
+        shifts = (ZERO,)
+    elif by == DivClass(1, 0):
+        shifts = tuple(DivClass(0, ak) for ak in x.a)
+    else:
+        raise ValueError("multiplication is supported for twists (0,1) and (1,0) only")
+    bound = sum(_listing_bound(x, s + by) + sum(_listing_bound(x, s + sh) for sh in shifts)
+                for s in e.summands)
+    if bound > ORACLE_BUDGET:
+        raise ValueError(f"multiplication by {by.to_json()} would list up to {bound} monomials, "
+                         f"over the budget of {ORACLE_BUDGET}")
+    rank = 0
+    target = 0
+    for s in e.summands:
+        target += len(section_monomials(x, s + by))
+        products = set()
+        if by == DivClass(0, 1):
+            for beta, alpha in section_monomials(x, s):
+                for i in range(x.m + 1):
+                    products.add((beta, _bump(alpha, i)))
+        else:
+            for k, sh in enumerate(shifts):
+                for beta, alpha in section_monomials(x, s + sh):
+                    products.add((_bump(beta, k), alpha))
+        rank += len(products)
+    return rank, target
 
 
 # the four sign classes: (alpha negative?, beta negative?)
@@ -136,7 +203,7 @@ def enumerate_contributing(x: Scroll, d: DivClass, row: int) -> list[Character]:
     return found
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**14)
 def _character_counts(x: Scroll, d: DivClass) -> tuple[int, ...]:
     table = [0] * (x.dim + 1)
     for alpha_neg, beta_neg in _SIGN_CLASSES:

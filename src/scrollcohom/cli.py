@@ -177,7 +177,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every `main` call can share it."""
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reg", _cmd_reg, "least p with the sheaf (p,0)-regular")
     p.add_argument("--scroll", required=True)
     p.add_argument("--sheaf", required=True)
-    p.add_argument("--scan", help="scan range lo:hi (non-positive scrolls default to +-3(dim+2), flagged)")
+    p.add_argument("--scan", help="lo:hi, check every p of it pointwise instead of the exact intervals")
 
     p = add("pqreg", _cmd_pqreg, "(p,q)-regularity report at a point")
     p.add_argument("--scroll", required=True)

@@ -130,7 +130,7 @@ def add_tables(t1, t2) -> tuple[int, ...]:
     return tuple(a + b for a, b in zip(t1, t2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**14)
 def line_cohom(x: Scroll, d: DivClass) -> tuple[int, ...]:
     """Cohomology table (h^0, ..., h^{n+m}) of O(d.p * H + d.q * F)."""
     table = [0] * (x.dim + 1)
@@ -252,70 +252,3 @@ def bundle_cohom(x: Scroll, e: SplitBundle, t: DivClass = ZERO) -> tuple[int, ..
     for s in e.summands:
         table = add_tables(table, line_cohom(x, s + t))
     return table
-
-
-def section_monomials(x: Scroll, d: DivClass) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Monomial basis (beta, alpha) of the sections of O(d)."""
-    from .characters import weak_compositions
-
-    p, q = d.p, d.q
-    out = []
-    if p < 0:
-        return out
-    for beta in weak_compositions(p, x.n + 1):
-        s = q + sum(aj * bj for aj, bj in zip(x.a, beta))
-        for alpha in weak_compositions(s, x.m + 1):
-            out.append((beta, alpha))
-    return out
-
-
-def _bump(vec: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return vec[:i] + (vec[i] + 1,) + vec[i + 1:]
-
-
-def _listing_bound(x: Scroll, d: DivClass) -> int:
-    """Upper bound on len(section_monomials(x, d)) from binomial counts alone:
-    C(p+n, n) betas, each with beta . a <= p*a_n and so with at most
-    C(p*a_n + q + m, m) alphas."""
-    return monomial_count(x.n, d.p) * monomial_count(x.m, d.p * x.a[-1] + d.q)
-
-
-def mult_map_rank(x: Scroll, e: SplitBundle, by: DivClass) -> tuple[int, int]:
-    """Rank and target dimension of a section multiplication map.
-
-    by = (0,1): H^0(E) (x) H^0(O(F)) -> H^0(E(F)), multiplication by the
-    base variables.  by = (1,0): (+)_k H^0(E(a_k F)) -> H^0(E(H)),
-    multiplication by the fiber variables.  Products of basis monomials are
-    monomials, so the image dimension is the number of distinct products.
-    Raises ValueError, before listing anything, when the monomials to list
-    could exceed the character oracle's budget.
-    """
-    from .characters import ORACLE_BUDGET
-
-    by = DivClass(by.p, by.q)
-    if by == DivClass(0, 1):
-        shifts = (ZERO,)
-    elif by == DivClass(1, 0):
-        shifts = tuple(DivClass(0, ak) for ak in x.a)
-    else:
-        raise ValueError("multiplication is supported for twists (0,1) and (1,0) only")
-    bound = sum(_listing_bound(x, s + by) + sum(_listing_bound(x, s + sh) for sh in shifts)
-                for s in e.summands)
-    if bound > ORACLE_BUDGET:
-        raise ValueError(f"multiplication by {by.to_json()} would list up to {bound} monomials, "
-                         f"over the budget of {ORACLE_BUDGET}")
-    rank = 0
-    target = 0
-    for s in e.summands:
-        target += len(section_monomials(x, s + by))
-        products = set()
-        if by == DivClass(0, 1):
-            for beta, alpha in section_monomials(x, s):
-                for i in range(x.m + 1):
-                    products.add((beta, _bump(alpha, i)))
-        else:
-            for k, sh in enumerate(shifts):
-                for beta, alpha in section_monomials(x, s + sh):
-                    products.add((_bump(beta, k), alpha))
-        rank += len(products)
-    return rank, target

@@ -8,9 +8,12 @@ A sheaf E is (p,q)-regular when, writing P = p*H + q*F,
 
 For m = 0 this is the classical notion on projective space, and for n = 0 a
 regularity over Veronese embeddings.  Reg(E) is the least p with E
-(p,0)-regular; on positive scrolls regularity is preserved by nonnegative
-twists, so Reg is read off the exact nonvanishing intervals of the
-conditions, one more than their largest upper end.
+(r,0)-regular for every r >= p.  On every scroll the p where E is not
+(p,0)-regular are the union of the conditions' exact nonvanishing
+intervals, so Reg is one more than its supremum, and whether regular
+twists form an up-set (always so on positive scrolls, where regularity is
+preserved by nonnegative twists) is read off the same union.  A compare
+grid is decided the same way, row q by row q.
 
 The multigraded notion with respect to the nef pair {H, F} asks instead for
 h^{i+j}(E(P)<-i, -j>) = 0 for all i, j >= 0 with (i,j) != (0,0); degrees
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec, sheaf_h
-from .windows import Cond, h_intervals
+from .windows import INF, Cond, h_intervals
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,14 @@ def rns_is_pq_regular(x: Scroll, spec: SheafSpec, p: int, q: int) -> RegularityR
     return _run_conditions(x, spec, rns_pq_conditions(x), p, q, "rns-pq")
 
 
-def is_ms_regular(x: Scroll, spec: SheafSpec, p: int, q: int) -> RegularityReport:
-    """Multigraded regularity with respect to {H, F}; needs both nef."""
+def _require_semipositive(x: Scroll):
     if not x.is_semipositive:
         raise ValueError("multigraded regularity needs a semipositive scroll (H nef)")
+
+
+def is_ms_regular(x: Scroll, spec: SheafSpec, p: int, q: int) -> RegularityReport:
+    """Multigraded regularity with respect to {H, F}; needs both nef."""
+    _require_semipositive(x)
     return _run_conditions(x, spec, ms_conditions(x), p, q, "ms")
 
 
@@ -128,28 +135,42 @@ class RegResult:
                 "scan": list(self.scan), "flags": list(self.flags)}
 
 
-def reg_detail(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) -> RegResult:
-    """Least p with E (p,0)-regular.
+def _failing(x: Scroll, spec: SheafSpec, conds, q: int) -> list:
+    """The p at which some condition is nonzero at (p, q), exactly, as
+    sorted, disjoint, non-adjacent intervals (ends may be infinite)."""
+    out = []
+    for lo, hi in sorted(iv for c in conds for iv in h_intervals(x, spec, c.k, c.dp, q + c.dq)):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
 
-    On a positive scroll the twists where some regularity condition is
-    nonzero are exactly the union of the conditions' intervals
-    (:func:`scrollcohom.windows.h_intervals`), and regular twists form an
-    up-set, so Reg is one more than the largest upper end and ``scan`` is
-    [Reg-1, Reg].  With an explicit scan range every p in it is checked.  On
-    a non-positive scroll without one this is the one default policy, used
-    by the library, the CLI and the sweep: scan p in +-3(dim+2) and flag the
-    result as monotonicity-unverified.
+
+def reg_detail(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) -> RegResult:
+    """Reg(E): the least p with E (r,0)-regular for every r >= p.
+
+    Without a scan range this is exact on every scroll.  The p where E is
+    not (p,0)-regular are exactly the union U of the pq-conditions'
+    intervals (:func:`scrollcohom.windows.h_intervals`), so Reg is one more
+    than sup U and ``scan`` is [Reg-1, Reg].  ``monotone_verified`` says
+    whether U is a down-set, i.e. the regular p form an up-set (always so on
+    a positive scroll).  Reg is None, with ``scan`` (0, 0), in two cases:
+    U empty (flag ``no-condition-can-fail``) and U unbounded above (flag
+    ``irregular-for-all-large-p``).
+
+    With an explicit scan range every p in it is checked pointwise: Reg is
+    the least p of the range with every later p of the range regular.
     """
-    if scan is None and not x.is_positive:
-        res = reg_detail(x, spec, (-3 * (x.dim + 2), 3 * (x.dim + 2)))
-        return RegResult(res.value, False, res.scan, res.flags + ("default-scan-on-non-positive-scroll",))
     if scan is None:
-        # pq_conditions read no degree 0, so every upper end is finite
-        ends = [hi for cond in pq_conditions(x) for _, hi in h_intervals(x, spec, cond.k, cond.dp, cond.dq)]
-        if not ends:
+        bad = _failing(x, spec, pq_conditions(x), 0)
+        if not bad:
             return RegResult(None, True, (0, 0), ("no-condition-can-fail",))
-        value = int(max(ends)) + 1
-        return RegResult(value, True, (value - 1, value))
+        monotone = len(bad) == 1 and bad[0][0] == -INF
+        if bad[-1][1] == INF:
+            return RegResult(None, monotone, (0, 0), ("irregular-for-all-large-p",))
+        value = int(bad[-1][1]) + 1
+        return RegResult(value, monotone, (value - 1, value))
     lo, hi = scan
     verdicts = {p: is_pq_regular(x, spec, p, 0).verdict for p in range(lo, hi + 1)}
     value = None
@@ -162,10 +183,11 @@ def reg_detail(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) 
 
 
 def reg(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) -> int | None:
-    """Reg(E) as a bare integer.  Raises on a non-positive scroll without an
-    explicit scan range, where the default scan leaves monotonicity unverified."""
-    if scan is None and not x.is_positive:
-        raise ValueError("need an explicit scan range on a non-positive scroll")
+    """Reg(E) as a bare integer, the value of :func:`reg_detail`: one more
+    than the largest p where E is not (p,0)-regular, or None when no
+    condition can fail or when E is irregular for arbitrarily large p (flag
+    ``irregular-for-all-large-p``).  Whether the regular p form an up-set
+    is ``reg_detail(...).monotone_verified``."""
     return reg_detail(x, spec, scan).value
 
 
@@ -196,12 +218,17 @@ class CompareReport:
 
 def compare_regularities(x: Scroll, spec: SheafSpec, pbox: tuple[int, int], qbox: tuple[int, int]) -> CompareReport:
     """Grid comparison of multigraded vs (p,q)-regularity.  Multigraded
-    implies (p,q); any (true, false) point is recorded as a violation."""
+    implies (p,q); any (true, false) point is recorded as a violation.
+    Each row q is read off the exact intervals where some ms or pq
+    condition is nonzero; is_ms_regular and is_pq_regular are the
+    pointwise reports of the same cells."""
+    _require_semipositive(x)
+    families = (ms_conditions(x), pq_conditions(x))
+    rows = {q: [_failing(x, spec, conds, q) for conds in families] for q in range(qbox[0], qbox[1] + 1)}
     points, seps, bad = [], [], []
     for p in range(pbox[0], pbox[1] + 1):
         for q in range(qbox[0], qbox[1] + 1):
-            ms = is_ms_regular(x, spec, p, q).verdict
-            pq = is_pq_regular(x, spec, p, q).verdict
+            ms, pq = (not any(lo <= p <= hi for lo, hi in ivs) for ivs in rows[q])
             points.append(ComparePoint(p, q, ms, pq))
             if ms and not pq:
                 bad.append((p, q))

@@ -75,7 +75,7 @@ class SheafSpec:
                              f"{{'omega':{{'i':1,'twist':[0,0]}}}}: {exc}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**14)
 def sheaf_cohom(x: Scroll, spec: SheafSpec, t: DivClass = ZERO) -> tuple[int, ...]:
     """Cohomology table of the catalog sheaf twisted by t."""
     if spec.kind == "split":

@@ -19,7 +19,8 @@ from .regularity import compare_regularities, reg_detail
 from .scroll import DivClass, Scroll, json_int, make_scroll
 from .sheaves import SheafSpec, sheaf_cohom
 
-ENGINE_TAG = "scrollcohom-0.1.0+exact-intervals"  # part of every record key: bump it when any stored result changes
+# part of every record key: bump it when any stored result changes
+ENGINE_TAG = "scrollcohom-0.1.0+exact-intervals-every-scroll"
 CSV_SCHEMA = "scrollcohom-sweep-v1"
 CACHE_ENV = "SCROLLCOHOM_CACHE"
 MAX_CELLS = 20000

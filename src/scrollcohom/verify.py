@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .characters import character_cohom
+from .characters import character_cohom, mult_map_rank
 from .cohomology import (SplitBundle, bundle_cohom, choose, euler_char, is_globally_generated,
-                         line_cohom, mult_map_rank, omega_cohom, sym_twists, zero_table)
+                         line_cohom, omega_cohom, sym_twists, zero_table)
 from .complexes import (_contributing_keys, cotangent_resolution_left, cotangent_resolution_right,
                         euler_complex, exterior_complex, hypercohom, koszul_pullback,
                         koszul_pullback_spliced, per_key_dims, single_term_complex,
@@ -403,7 +403,7 @@ def suite_bott() -> list[CheckResult]:
                 closed = omega_cohom(x, i, t)
                 if not closed == left == right:
                     bad.append((x, i, t, closed, left, right))
-                for k in range(x.dim + 1) if x.is_positive else ():  # the intervals need a_0 > 0
+                for k in range(x.dim + 1):
                     inside = any(lo <= p <= hi for lo, hi in omega_h_intervals(x, i, k, q))
                     if not inside == bool(left[k]) == bool(right[k]):
                         bad_intervals.append((x, i, t, k, inside, left, right))

@@ -1,33 +1,32 @@
 """Exact nonvanishing intervals and finite windows for 'for every integer t' conditions.
 
-For a line bundle on a positive scroll, the set of H-twists where a fixed
-cohomological degree is nonzero is an explicit interval (possibly empty or
-half-infinite):
+For Omega^i<P, q> on any scroll (any sign of a_0, 0 <= i <= n; i = 0 is
+the line bundle O(P*H + q*F)) the set of P where h^k is nonzero is a union
+of explicit intervals, some possibly half-infinite, read off the three
+regions of Bott's formula on the fibre (:func:`omega_h_intervals`):
 
-    degree 0      [max(0, ceil(-q/a_n)), +inf)
-    degree m      [0, floor((-m-1-q)/a_0)]
-    degree n      [-n-1-A, -n-1]  with  A = floor((-m-1-b)/a_0), b = c-q-1-m
-    degree n+m    (-inf, -n-1-max(0, ceil(-b/a_n))]
+    P > i (and P = 0 when i = 0)   pi_* Omega^i(PH) is split; degree 0 needs
+                                   its top twist + q >= 0, degree m its
+                                   bottom twist + q <= -m-1.  Both twists are
+                                   linear in P, so each is a ray in P.
+    P = 0 < i                      degree i for q >= 0, i+m for q <= -m-1
+    P < i - n                      the first region of Omega^{n-i} at
+                                   -q-m-1 and degree dim-k, reflected
 
-When m = n, degree m needs q <= -m-1 and degree n needs q >= c, so each set
-above is exactly one interval.  When m = 0 or n = 0 two rows name the same
-degree and their pieces adjoin, so the hull of the pieces is exact.
+:func:`h_intervals` gives, for either sheaf kind, exactly the set of t
+where h^k(E<t + dp, dq>) != 0; regularity reads its unions.
 
-For Omega^i(T) each degree is nonzero on a union of explicit intervals as
-well, read off the three regions of Bott's formula on the fibre
-(:func:`omega_h_intervals`).  :func:`h_intervals` gives, for either sheaf
-kind, exactly the set of t where h^k(E<t + dp, dq>) != 0.
-
-Splitting criteria only quantify conditions in middle degrees, where both
-kinds' intervals are finite.  A check makes one pass, :func:`window_pass`:
-it lists each condition's intervals on E or E^dual, and the window, their
-hull together with the sheaf's section/top cohomology transitions (the
-anchors); outside it every condition vanishes.
+Splitting criteria only quantify conditions in middle degrees, where on a
+positive scroll both kinds' intervals are finite.  A check makes one pass,
+:func:`window_pass`: it lists each condition's intervals on E or E^dual,
+and the window, their hull together with the sheaf's section/top
+cohomology transitions (the anchors); outside it every condition vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cohomology import check_omega_index
 from .scroll import DivClass, Scroll
@@ -48,86 +47,58 @@ class Cond:
     idx: tuple = ()
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+def _ray(s: int, u: int, first: int):
+    """{K >= first : K*s + u >= 0} as an interval, or None when empty; s may
+    have any sign."""
+    if s > 0:
+        return max(first, -(u // s)), INF
+    if s == 0:
+        return (first, INF) if u >= 0 else None
+    hi = u // -s
+    return (first, hi) if hi >= first else None
 
 
-def line_h_interval(x: Scroll, k: int, q: int):
-    """{P : h^k(O(P*H + q*F)) != 0} as an interval, or None when empty.
-
-    The set is exactly this interval (see the module docstring where
-    degrees coincide).
-    Requires a positive scroll so the middle-degree pieces are finite.
-    """
-    if not x.is_positive:
-        raise ValueError("nonvanishing intervals are only finite on positive scrolls")
-    pieces = []
-    a0, an = x.a[0], x.a[-1]
+def _hook_intervals(x: Scroll, i: int, k: int, q: int, first: int = 1) -> list:
+    """{P >= i + first : h^k(Omega^i<P, q>) != 0} for first = 1, or first = 0
+    when i = 0.  There pi_* Omega^i(PH) is split (Sym^P V for i = 0) with
+    top twist (P-i)a_n + a_{n-i} + ... + a_{n-1} and bottom twist
+    (P-i)a_0 + a_1 + ... + a_i, so degree 0 needs top + q >= 0 and degree m
+    needs bottom + q <= -m-1: rays in K = P - i."""
+    rays = []
     if k == 0:
-        pieces.append((max(0, _ceil_div(-q, an)), INF))
+        rays.append(_ray(x.a[-1], q + sum(x.a[x.n - i:x.n]), first))
     if k == x.m:
-        hi = (-x.m - 1 - q) // a0
-        if hi >= 0:
-            pieces.append((0, hi))
-    b = x.c - q - 1 - x.m
-    if k == x.n:
-        amax = (-x.m - 1 - b) // a0
-        if amax >= 0:
-            pieces.append((-x.n - 1 - amax, -x.n - 1))
-    if k == x.dim:
-        pieces.append((-INF, -x.n - 1 - max(0, _ceil_div(-b, an))))
-    if not pieces:
-        return None
-    return min(p[0] for p in pieces), max(p[1] for p in pieces)
+        rays.append(_ray(-x.a[0], -x.m - 1 - q - sum(x.a[1:i + 1]), first))
+    return [(i + lo, i + hi) for lo, hi in filter(None, rays)]
 
 
-def _hook_intervals(x: Scroll, i: int, k: int, q: int) -> list:
-    """{P > i : h^k(Omega^i<P, q>) != 0}.  pi_* Omega^i(PH) is split with top
-    twist (P-i)a_n + a_{n-i} + ... + a_{n-1} and bottom twist
-    (P-i)a_0 + a_1 + ... + a_i, each of multiplicity 1, so degree 0 needs
-    top + q >= 0 and degree m needs bottom + q <= -m-1."""
-    out = []
-    if k == 0:
-        top = sum(x.a[x.n - i:x.n])
-        out.append((i + max(1, _ceil_div(-q - top, x.a[-1])), INF))
-    if k == x.m:
-        hi = i + (-x.m - 1 - q - sum(x.a[1:i + 1])) // x.a[0]
-        if hi > i:
-            out.append((i + 1, hi))
-    return out
-
-
-def omega_h_intervals(x: Scroll, i: int, k: int, q: int) -> list:
-    """{P : h^k(Omega^i<P, q>) != 0} as a list of intervals whose union is
-    exactly that set, read off the three regions of ``omega_cohom``: P > i
-    (:func:`_hook_intervals`), P = 0 (degree i for q >= 0, degree i+m for
-    q <= -m-1) and P < i-n, the P > n-i part of Omega^{n-i} at -q-m-1 and
-    degree dim-k, reflected by P -> -P.  Where two degrees coincide (m = 0,
-    i = m, ...) the list holds the pieces of both.  Requires a positive
-    scroll."""
-    if not x.is_positive:
-        raise ValueError("nonvanishing intervals are only finite on positive scrolls")
+@lru_cache(maxsize=2**14)
+def omega_h_intervals(x: Scroll, i: int, k: int, q: int) -> tuple:
+    """{P : h^k(Omega^i<P, q>) != 0} as intervals whose union is exactly that
+    set, on any scroll, read off the three regions of ``omega_cohom``: the
+    hook part (:func:`_hook_intervals`), P = 0 for i > 0 (degree i for
+    q >= 0, degree i+m for q <= -m-1) and P < i-n, the hook part of
+    Omega^{n-i} at -q-m-1 and degree dim-k, reflected by P -> -P.
+    Omega^0 = O gives line bundles.  Where two degrees coincide (m = 0,
+    i = m, ...) the pieces of both are listed."""
     check_omega_index(x, i)
-    out = _hook_intervals(x, i, k, q)
-    if (k == i and q >= 0) or (k == i + x.m and q <= -x.m - 1):
+    out = _hook_intervals(x, i, k, q, 0 if i == 0 else 1)
+    if i > 0 and ((k == i and q >= 0) or (k == i + x.m and q <= -x.m - 1)):
         out.append((0, 0))
     out += [(-hi, -lo) for lo, hi in _hook_intervals(x, x.n - i, x.dim - k, -q - x.m - 1)]
-    return out
+    return tuple(out)
 
 
 def h_intervals(x: Scroll, spec: SheafSpec, k: int, dp: int, dq: int) -> list:
     """The t with h^k(spec<t + dp, dq>) != 0, exactly, as a list of
-    intervals: one per summand of a split sheaf (:func:`line_h_interval`),
-    the pieces of :func:`omega_h_intervals` for Omega^i(T)."""
+    intervals: the pieces of :func:`omega_h_intervals` with i = 0 for each
+    summand of a split sheaf, and with spec's i for Omega^i(T)."""
     if spec.kind == "split":
-        out = []
-        for s in spec.split.summands:
-            iv = line_h_interval(x, k, s.q + dq)
-            if iv is not None:
-                out.append((iv[0] - s.p - dp, iv[1] - s.p - dp))
-        return out
-    t = spec.omega_twist
-    return [(lo - t.p - dp, hi - t.p - dp) for lo, hi in omega_h_intervals(x, spec.omega_i, k, t.q + dq)]
+        pairs = [(0, s) for s in spec.split.summands]
+    else:
+        pairs = [(spec.omega_i, spec.omega_twist)]
+    return [(lo - t.p - dp, hi - t.p - dp) for i, t in pairs
+            for lo, hi in omega_h_intervals(x, i, k, t.q + dq)]
 
 
 def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[tuple[int, int], list]:

@@ -33,13 +33,10 @@ def test_cohom_omega(capsys):
     assert code == 0 and json.loads(out) == {"h": [0, 1, 0]}
 
 
-def test_reg_non_positive_gets_default_scan(capsys):
+def test_reg_non_positive_is_exact(capsys):
     code, out, _ = run(capsys, "reg", "--scroll", F2, "--sheaf", O)
     assert code == 0
-    payload = json.loads(out)
-    assert payload["reg"] == 0
-    assert payload["monotone_verified"] is False
-    assert "default-scan-on-non-positive-scroll" in payload["flags"]
+    assert out == '{"flags":[],"monotone_verified":true,"reg":0,"scan":[-1,0]}\n'
 
 
 def test_reg_positive(capsys):

@@ -3,8 +3,8 @@
 ``complexes`` and ``linalg`` (the hypercohomology of the two resolutions)
 and ``verify`` (the checker) are the independent second route to the
 closed forms; production must not depend on them, or the route stops being
-independent.  ``characters`` is loaded with the package root, which
-re-exports ``character_cohom``.
+independent.  No production module imports ``characters`` either; it loads
+only with the package root, which re-exports ``character_cohom``.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ def _imports(module) -> tuple[set[str], set[str]]:
 def test_production_module_imports_no_reference_route(name):
     top, nested = _imports(importlib.import_module(f"scrollcohom.{name}"))
     assert not (top | nested) & set(REFERENCE)
-    # the character oracle only behind mult_map_rank's monomial listing
-    assert "characters" not in (top if name == "cohomology" else top | nested)
+    assert "characters" not in top | nested
 
 
 def test_cli_imports_verify_only_inside_a_function():

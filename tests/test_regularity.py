@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollcohom import (DivClass, SheafSpec, compare_regularities, is_ms_regular, is_pq_regular,
                          make_scroll, reg, reg_detail, rns_is_pq_regular)
+from scrollcohom.regularity import _failing, pq_conditions
 from scrollcohom.verify import classical_pn_regular
+from scrollcohom.windows import INF
 
 X12 = make_scroll(1, 1, [1, 2])
 F2 = make_scroll(1, 1, [0, 2])
@@ -29,11 +33,24 @@ def test_reg_of_line_bundles():
     assert reg(X12, SheafSpec.from_split([(-2, 0)])) == 2
 
 
-def test_reg_needs_scan_on_non_positive():
-    with pytest.raises(ValueError):
-        reg(F2, O)
+def test_reg_exact_on_non_positive():
+    # on F2 the p where O is not (p,0)-regular are exactly (-inf, -1], a
+    # down-set, so Reg = 0 with monotonicity proven
+    assert reg(F2, O) == 0
+    res = reg_detail(F2, O)
+    assert (res.value, res.monotone_verified, res.scan, res.flags) == (0, True, (-1, 0), ())
     res = reg_detail(F2, O, (-3, 3))
     assert res.value == 0 and "explicit-scan" in res.flags
+
+
+def test_reg_none_when_irregular_for_all_large_p():
+    # h^1(O(P*H - 2F)) != 0 for every P >= 0 on F2, and the (b) condition
+    # (i, j) = (0, 1) reads h^1(E<p, -1>) for E = O(0, -1)
+    e = SheafSpec.from_split([(0, -1)])
+    res = reg_detail(F2, e)
+    assert res.value is None and res.flags == ("irregular-for-all-large-p",) and res.scan == (0, 0)
+    assert not any(is_pq_regular(F2, e, p, 0).verdict for p in range(0, 30))
+    assert reg_detail(F2, e, (-40, 40)).value is None
 
 
 def test_ms_regularity_hirzebruch_separation():
@@ -154,3 +171,54 @@ def test_reg_detail_makes_no_regularity_scan(monkeypatch):
     for x in REG_SCROLLS:
         for spec in _reg_specs(x):
             assert reg_detail(x, spec).value is not None
+
+
+def _sheaf(draw, n):
+    if draw(st.booleans()):
+        pairs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        return SheafSpec.from_split(draw(st.lists(pairs, min_size=1, max_size=2)))
+    return SheafSpec.from_omega(draw(st.integers(0, n)), DivClass(draw(st.integers(-2, 2)), draw(st.integers(-2, 2))))
+
+
+@st.composite
+def _scroll_and_sheaf(draw, a_lo, positive_allowed=True):
+    m = draw(st.integers(0, 2))
+    n = draw(st.integers(0 if m else 1, 2))
+    a = draw(st.lists(st.integers(a_lo, 3), min_size=n + 1, max_size=n + 1))
+    if not positive_allowed:
+        a[0] = draw(st.integers(a_lo, 0))
+    return make_scroll(m, n, a), _sheaf(draw, n)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_scroll_and_sheaf(0), st.integers(-4, 2), st.integers(-4, 2))
+def test_compare_grid_matches_pointwise_reports(case, p0, q0):
+    # the grid read off intervals against the pointwise reports, cell by cell,
+    # on semipositive scrolls including a_0 = 0
+    x, spec = case
+    pbox, qbox = (p0, p0 + 3), (q0, q0 + 3)
+    rep = compare_regularities(x, spec, pbox, qbox)
+    want = [(p, q, is_ms_regular(x, spec, p, q).verdict, is_pq_regular(x, spec, p, q).verdict)
+            for p in range(pbox[0], pbox[1] + 1) for q in range(qbox[0], qbox[1] + 1)]
+    assert [(c.p, c.q, c.ms, c.pq) for c in rep.points] == want
+    assert rep.violations == tuple((p, q) for p, q, ms, pq in want if ms and not pq)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_scroll_and_sheaf(-2, positive_allowed=False))
+def test_reg_exact_matches_wide_scan_on_non_positive(case):
+    # exact Reg against checking every p of (-40, 40) wherever all finite ends
+    # of the irregular set lie inside the scan, bounded above or not
+    x, spec = case
+    exact = reg_detail(x, spec)
+    ends = [e for iv in _failing(x, spec, pq_conditions(x), 0) for e in iv if abs(e) != INF]
+    if not all(-39 <= e <= 39 for e in ends):
+        return
+    oracle = reg_detail(x, spec, (-40, 40))
+    want = -40 if "no-condition-can-fail" in exact.flags else exact.value
+    assert (oracle.value, oracle.monotone_verified) == (want, exact.monotone_verified)
+
+
+def test_compare_refuses_non_semipositive():
+    with pytest.raises(ValueError):
+        compare_regularities(make_scroll(1, 1, [-1, 2]), O, (0, 0), (0, 0))

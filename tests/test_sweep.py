@@ -80,7 +80,7 @@ def test_sweep_reg_matches_cli_on_non_positive(tmp_path, capsys):
     for rec in non_positive:
         assert main(["reg", "--scroll", json.dumps(rec["scroll"]), "--sheaf", json.dumps(sheaf)]) == 0
         assert rec["result"] == json.loads(capsys.readouterr().out)
-        assert rec["result"]["monotone_verified"] is False
+        assert "explicit-scan" not in rec["result"]["flags"]
 
 
 def test_store_from_another_engine_is_recomputed(tmp_path, monkeypatch):

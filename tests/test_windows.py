@@ -1,54 +1,92 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scrollcohom import Cond, DivClass, SheafSpec, make_scroll, nonvanishing_window
+from scrollcohom import Cond, DivClass, SheafSpec, line_cohom, make_scroll, nonvanishing_window, omega_cohom
 from scrollcohom.splitting import ohf_conditions, pure_h_conditions
-from scrollcohom.windows import eval_cond, h_intervals, line_h_interval, omega_h_intervals
+from scrollcohom.windows import INF, eval_cond, h_intervals, omega_h_intervals
 
 X12 = make_scroll(1, 1, [1, 2])
 
 
+def _inside(ivs, lo=-15, hi=15) -> set:
+    return {p for p in range(lo, hi + 1) if any(a <= p <= b for a, b in ivs)}
+
+
 def test_line_h_interval_shapes():
-    # sections appear from 0 on, top cohomology ends at -2 for q = 0
-    assert line_h_interval(X12, 0, 0) == (0, float("inf"))
-    assert line_h_interval(X12, 2, 0) == (-float("inf"), -2)
+    # line bundles are the i = 0 case: sections appear from 0 on, top
+    # cohomology ends at -2 for q = 0
+    assert omega_h_intervals(X12, 0, 0, 0) == ((0, INF),)
+    assert omega_h_intervals(X12, 0, 2, 0) == ((-INF, -2),)
     # h^1 of (t, 3) lives exactly at t = -2 on this scroll
-    assert line_h_interval(X12, 1, 3) == (-2, -2)
-    assert line_h_interval(X12, 1, 5) == (-4, -2)
+    assert omega_h_intervals(X12, 0, 1, 3) == ((-2, -2),)
+    assert omega_h_intervals(X12, 0, 1, 5) == ((-4, -2),)
 
 
 def test_line_h_interval_is_sharp_hull():
-    from scrollcohom import line_cohom
-
     for k in range(X12.dim + 1):
         for q in range(-6, 7):
-            iv = line_h_interval(X12, k, q)
+            ivs = omega_h_intervals(X12, 0, k, q)
+            assert len(ivs) <= 1  # one interval per degree when m = n = 1
             nonzero = [p for p in range(-15, 16) if line_cohom(X12, DivClass(p, q))[k]]
-            if iv is None:
-                assert not nonzero
-            else:
-                for p in nonzero:
-                    assert iv[0] <= p <= iv[1]
+            for p in nonzero:
+                assert any(lo <= p <= hi for lo, hi in ivs)
 
 
 @pytest.mark.parametrize("x", [X12, make_scroll(1, 1, [1, 1]), make_scroll(2, 2, [1, 2, 3]),
                                make_scroll(2, 1, [1, 3]), make_scroll(0, 2, [1, 1, 1]),
                                make_scroll(2, 0, [2])], ids=str)
 def test_line_h_interval_is_exact(x):
-    # every P inside the interval is nonzero, not only every nonzero P inside the
-    # hull: the "for every t" scan evaluates split sheaves only inside these
-    from scrollcohom import line_cohom
-
+    # every P inside the intervals is nonzero, not only every nonzero P inside
+    # the hull: the "for every t" scan evaluates split sheaves only inside these
     for k in range(x.dim + 1):
         for q in range(-6, 7):
-            iv = line_h_interval(x, k, q)
-            inside = {p for p in range(-15, 16) if iv is not None and iv[0] <= p <= iv[1]}
+            ivs = omega_h_intervals(x, 0, k, q)
             nonzero = {p for p in range(-15, 16) if line_cohom(x, DivClass(p, q))[k]}
-            assert inside == nonzero, (k, q, iv)
+            assert _inside(ivs) == nonzero, (k, q, ivs)
 
 
-def test_non_positive_scroll_rejected():
-    with pytest.raises(ValueError):
-        line_h_interval(make_scroll(1, 1, [0, 2]), 0, 0)
+NON_POSITIVE = [make_scroll(1, 1, [0, 2]), make_scroll(1, 1, [-1, 2]), make_scroll(1, 2, [-1, 0, 1]),
+                make_scroll(2, 1, [0, 0]), make_scroll(0, 2, [-1, 0, 0]), make_scroll(1, 0, [-1]),
+                make_scroll(2, 2, [-1, -1, 3]), make_scroll(1, 1, [-2, -1])]
+
+
+def test_intervals_exact_on_non_positive_scrolls():
+    # a_0 in {-1, 0}, and all twists negative: the rays hold for every sign
+    for x in NON_POSITIVE:
+        for i in range(x.n + 1):
+            for k in range(x.dim + 1):
+                for q in range(-6, 7):
+                    ivs = omega_h_intervals(x, i, k, q)
+                    nonzero = {p for p in range(-15, 16) if omega_cohom(x, i, DivClass(p, q))[k]}
+                    assert _inside(ivs) == nonzero, (x, i, k, q, ivs)
+
+
+def test_intervals_can_be_unbounded_in_middle_degrees():
+    # on F2 = P(O + O(2)) over P^1, h^1(O(P*H - 2F)) != 0 for every P >= 0
+    f2 = make_scroll(1, 1, [0, 2])
+    assert omega_h_intervals(f2, 0, 1, -2) == ((0, INF),)
+    assert all(line_cohom(f2, DivClass(p, -2))[1] for p in range(0, 30))
+
+
+@st.composite
+def _scroll_and_row(draw):
+    m = draw(st.integers(0, 2))
+    n = draw(st.integers(0 if m else 1, 3))
+    a = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
+    x = make_scroll(m, n, a)
+    return x, draw(st.integers(0, n)), draw(st.integers(-6, 6))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_scroll_and_row())
+def test_intervals_match_cohomology_on_both_signs(case):
+    # twists of both signs: every p of the box lies in the intervals iff its
+    # group is nonzero, for line bundles and Omega^i alike
+    x, i, q = case
+    tables = {p: omega_cohom(x, i, DivClass(p, q)) for p in range(-14, 15)}
+    for k in range(x.dim + 1):
+        assert _inside(omega_h_intervals(x, i, k, q), -14, 14) == {p for p in tables if tables[p][k]}, k
 
 
 def test_window_contains_interesting_twists():
@@ -96,13 +134,11 @@ def test_window_margins_vanish_where_serre_duality_bounds(twist):
 def test_omega_h_intervals_are_exact(x):
     # the union of the pieces is exactly where omega_cohom is nonzero, in
     # every degree, including m = 0 and n = 0 where degrees coincide
-    from scrollcohom import omega_cohom
-
     for i in range(x.n + 1):
         for k in range(x.dim + 1):
             for q in range(-7, 8):
                 ivs = omega_h_intervals(x, i, k, q)
-                inside = {p for p in range(-15, 16) if any(lo <= p <= hi for lo, hi in ivs)}
+                inside = _inside(ivs)
                 nonzero = {p for p in range(-15, 16) if omega_cohom(x, i, DivClass(p, q))[k]}
                 assert inside == nonzero, (i, k, q, ivs)
 
@@ -117,4 +153,19 @@ def test_h_intervals_shift_by_twist_and_condition():
                 inside = any(lo <= t <= hi for lo, hi in ivs)
                 assert inside == bool(eval_cond(x, spec, Cond("z", k, -1, 3), t)), (i, k, t)
     with pytest.raises(ValueError):
-        omega_h_intervals(make_scroll(1, 1, [0, 2]), 1, 1, 0)
+        omega_h_intervals(x, x.n + 1, 1, 0)
+
+
+@pytest.mark.parametrize("twist", [(0, 0), (-2, 2), (1, 2), (0, -3), (2, -1)], ids=str)
+def test_omega_zero_window_is_the_line_bundle_window(twist):
+    # Omega^0(T) is the line bundle O(T): one interval function gives both
+    # spellings the same intervals, so the same window.  (Their duals are
+    # spelled Omega^n and O(-T), so only conditions on E itself compare.)
+    from scrollcohom.splitting import indecomposable_hypotheses
+    from scrollcohom.windows import window_pass
+
+    for x in (X12, make_scroll(2, 2, [1, 1, 2]), make_scroll(1, 2, [1, 2, 3])):
+        omega, line = SheafSpec.from_omega(0, DivClass(*twist)), SheafSpec.from_split([twist])
+        for conds in (pure_h_conditions(x), ohf_conditions(x), indecomposable_hypotheses(x)):
+            conds = [c for c in conds if not c.dual]
+            assert window_pass(x, omega, conds) == window_pass(x, line, conds)
