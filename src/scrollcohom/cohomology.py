@@ -64,14 +64,13 @@ def _base_sum(m: int, hist, d: int) -> tuple[int, int]:
     return h0, hm
 
 
-# Most cells the sym_twists dynamic program may hold, counted as
-# (k+1) * (k*(a_n - a_0) + 1): k+1 rows, none longer than the last.  Near
-# 10^7 cells the process peaked at 58 MB resident for n = 4 and 139 MB for
-# n = 12 (64-bit CPython 3.11); the packed rows grow with the field width,
-# about log2 C(k+n, n) bits.  Larger queries are refused instead of
-# exhausting memory.  Every query of the tests, the verify suites and the
-# benchmark stays below 2*10^5 cells.
-SYM_CELL_BUDGET = 10**7
+# Most bytes the sym_twists table may take: (k+1) * (k*(a_n - a_0) + 1) cells
+# (k+1 rows, none longer than the last) times the field width w >= 1, so too
+# many cells are refused before w is computed.  Near the budget the process
+# peaked at 58 MB resident for n = 4 and 73 MB for n = 12 and 24 (64-bit
+# CPython 3.11, 15 MB after import), where a cell count let n = 24 reach
+# 244 MB.  Every query of the tests, verify and the benchmark is < 5*10^5 B.
+SYM_CELL_BUDGET = 6 * 10**7
 
 
 @lru_cache(maxsize=1024)
@@ -85,16 +84,16 @@ def sym_twists(x: Scroll, k: int) -> tuple[tuple[int, int], ...]:
     l*a_0 + s.  No count exceeds C(k+n, n), which fits in w bytes, so fields
     never carry and adding a variable is one shift-add per row: O(n k)
     big-integer shift-adds on rows of at most k*(a_n - a_0)+1 fields.
-    Raises ValueError when the table would exceed SYM_CELL_BUDGET cells."""
+    Raises ValueError when the table would exceed SYM_CELL_BUDGET bytes."""
     if k < 0:
         raise ValueError("symmetric power index must be nonnegative")
     a0 = x.a[0]
     length = k * (x.a[-1] - a0) + 1
     cells = (k + 1) * length
-    if cells > SYM_CELL_BUDGET:
-        raise ValueError(f"Sym^{k} on this scroll needs {cells} table cells, "
+    w = (comb(k + x.n, x.n).bit_length() + 8) // 8 if cells <= SYM_CELL_BUDGET else 1
+    if cells * w > SYM_CELL_BUDGET:
+        raise ValueError(f"Sym^{k} on this scroll needs at least {cells * w} table bytes, "
                          f"over the budget of {SYM_CELL_BUDGET}")
-    w = (comb(k + x.n, x.n).bit_length() + 8) // 8
     # rows[l], field s: compositions of l over the variables so far with twist l*a_0 + s
     rows = [1] * (k + 1)
     for aj in x.a[1:]:

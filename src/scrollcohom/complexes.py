@@ -280,6 +280,7 @@ def validate_complex(c: MonomialComplex) -> list[str]:
 # per-character hypercohomology
 
 _PROFILE_CACHE: dict[tuple, dict[int, int]] = {}
+_PROFILE_CACHE_MAX = 2**14  # entries; the cache is cleared when full
 
 
 def _neg_masks(x: Scroll, expo: tuple[int, ...]) -> tuple[int, int]:
@@ -386,6 +387,8 @@ def _profile_dims(c: MonomialComplex, shape, profile) -> dict[int, int]:
         h = len(elts) - ranks.get(deg, 0) - ranks.get(deg - 1, 0)
         if h:
             dims[deg] = h
+    if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
+        _PROFILE_CACHE.clear()
     _PROFILE_CACHE[(shape, profile)] = dims
     return dims
 

@@ -2,8 +2,9 @@
 
 Records are JSON lines keyed by a stable hash of (engine tag, CSV schema,
 scroll, op, inputs); a warm cache returns the stored payload verbatim, so
-re-runs are byte-identical.  The CSV summary carries a versioned schema
-header and a canonical row order independent of scheduling.
+re-runs are byte-identical.  A line is parsed only when a cell asks for its
+key, newest first, and served only if it holds that cell's scroll, op and
+inputs.  The CSV summary has a versioned header and a scheduling-free order.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -26,11 +28,12 @@ CACHE_ENV = "SCROLLCOHOM_CACHE"
 MAX_CELLS = 20000
 
 OPS = ("cohom", "reg", "compare")
+_KEY_FIELD = re.compile(r'"key":"([0-9a-f]{64})"')
 
 
 def check_box(pbox, qbox):
     """Refuse a (p,q) box of more than MAX_CELLS twists: `table`, `compare`
-    and the sweep's compare cells visit every twist in it."""
+    and the sweep's cohom and compare cells visit every twist in it."""
     twists = (pbox[1] - pbox[0] + 1) * (qbox[1] - qbox[0] + 1)
     if twists > MAX_CELLS:
         raise ValueError(f"the (p,q) box holds {twists} twists, over the {MAX_CELLS} limit; shrink the box")
@@ -40,9 +43,14 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _key(engine: str, inputs: str, op: str, schema: str, scroll: str) -> str:
+    """The record key from each field's canonical JSON, laid out as _canon lays out the whole."""
+    return hashlib.sha256(f'{{"engine":{engine},"inputs":{inputs},"op":{op},"schema":{schema},'
+                          f'"scroll":{scroll}}}'.encode()).hexdigest()
+
+
 def record_key(scroll: Scroll, op: str, inputs: dict) -> str:
-    return hashlib.sha256(_canon({"engine": ENGINE_TAG, "schema": CSV_SCHEMA, "scroll": scroll.to_json(),
-                                  "op": op, "inputs": inputs}).encode()).hexdigest()
+    return _key(_canon(ENGINE_TAG), _canon(inputs), _canon(op), _canon(CSV_SCHEMA), _canon(scroll.to_json()))
 
 
 def enumerate_family(family: dict) -> list[Scroll]:
@@ -83,24 +91,43 @@ def _run_op(scroll: Scroll, op: str, inputs: dict) -> dict:
 
 
 def _cells(scrolls, ops, sheaf_json, pbox, qbox):
+    """The grid as (scroll, scroll JSON, op, inputs, inputs JSON, op JSON) tuples,
+    in canonical JSON; an op's inputs are built and encoded once for all scrolls."""
+    grid: dict[str, list] = {}
     cells = []
     for scroll in scrolls:
+        scroll_s = _canon(scroll.to_json())
         for op in ops:
-            if op == "cohom":
-                for p in range(pbox[0], pbox[1] + 1):
-                    for q in range(qbox[0], qbox[1] + 1):
-                        cells.append((scroll, op, {"sheaf": sheaf_json, "twist": [p, q]}))
-            elif op == "reg":
-                cells.append((scroll, op, {"sheaf": sheaf_json}))
-            elif op == "compare":
-                if not scroll.is_semipositive:
-                    continue
-                check_box(pbox, qbox)
-                cells.append((scroll, op, {"sheaf": sheaf_json,
-                                           "pbox": list(pbox), "qbox": list(qbox)}))
-            else:
-                raise ValueError(f"unknown sweep op {op!r}; expected one of {OPS}")
+            if op == "compare" and not scroll.is_semipositive:
+                continue
+            if op not in grid:
+                if op == "cohom":
+                    check_box(pbox, qbox)
+                    inputs = [{"sheaf": sheaf_json, "twist": [p, q]}
+                              for p in range(pbox[0], pbox[1] + 1) for q in range(qbox[0], qbox[1] + 1)]
+                elif op == "reg":
+                    inputs = [{"sheaf": sheaf_json}]
+                elif op == "compare":
+                    check_box(pbox, qbox)
+                    inputs = [{"sheaf": sheaf_json, "pbox": list(pbox), "qbox": list(qbox)}]
+                else:
+                    raise ValueError(f"unknown sweep op {op!r}; expected one of {OPS}")
+                grid[op] = [(i, _canon(i), _canon(op)) for i in inputs]
+            cells.extend((scroll, scroll_s, op) + entry for entry in grid[op])
     return cells
+
+
+def _stored(lines: list[str], key: str, scroll: Scroll, op: str, inputs: dict) -> dict | None:
+    """The newest of a key's store lines that parses to this very cell's record, else None."""
+    cell = (key, scroll.to_json(), op, inputs)
+    for line in reversed(lines):
+        try:
+            rec = json.loads(line)
+            if (rec["key"], rec["scroll"], rec["op"], rec["inputs"]) == cell and "result" in rec:
+                return rec
+        except (json.JSONDecodeError, KeyError, TypeError):
+            pass  # a torn or foreign line
+    return None
 
 
 def _summary(op: str, result: dict) -> str:
@@ -127,48 +154,39 @@ def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | No
     records_path = out / "records.jsonl"
     csv_path = out / "summary.csv"
 
-    cache: dict[str, dict] = {}
-    line = "\n"  # the last line read; a write cut short leaves it without a newline
-    if records_path.exists():
-        with records_path.open() as fh:
-            for line in fh:
-                try:
-                    rec = json.loads(line)
-                    cache[rec["key"]] = rec
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    pass  # a torn or foreign line: its cell is recomputed
+    engine, schema = _canon(ENGINE_TAG), _canon(CSV_SCHEMA)
+    keys = [_key(engine, inputs_s, op_s, schema, scroll_s) for _, scroll_s, _, _, inputs_s, op_s in cells]
+    stored: dict[str, list[str]] = {key: [] for key in keys}
+    text = records_path.read_text() if records_path.exists() else ""
+    for line in text.split("\n"):
+        for hexkey in stored.keys() & _KEY_FIELD.findall(line):
+            stored[hexkey].append(line)
 
     fresh = 0
-    records = []
+    rows = []
     with records_path.open("a") as fh:
-        if not line.endswith("\n"):
-            fh.write("\n")  # so the next record does not extend the torn line
-        for scroll, op, inputs in cells:
-            key = record_key(scroll, op, inputs)
-            rec = cache.get(key)
+        if text and not text.endswith("\n"):
+            fh.write("\n")  # a write cut short left the last line open: do not extend it
+        for (scroll, scroll_s, op, inputs, inputs_s, _), key in zip(cells, keys):
+            rec = _stored(stored[key], key, scroll, op, inputs)
             if rec is None:
                 t0 = time.perf_counter()
                 result = _run_op(scroll, op, inputs)
                 rec = {"key": key, "scroll": scroll.to_json(), "op": op, "inputs": inputs,
                        "result": result, "engine": ENGINE_TAG,
                        "wall_ms": round(1000 * (time.perf_counter() - t0), 3)}
-                fh.write(_canon(rec) + "\n")
-                cache[key] = rec
+                line = _canon(rec)
+                fh.write(line + "\n")
+                stored[key].append(line)  # a repeated cell is served from it
                 fresh += 1
-            records.append(rec)
+            rows.append((scroll_s, op, inputs_s, scroll, key, rec["result"]))
 
-    records.sort(key=lambda r: (_canon(r["scroll"]), r["op"], _canon(r["inputs"])))
+    rows.sort(key=lambda row: row[:3])
     lines = [f"# schema={CSV_SCHEMA} engine={ENGINE_TAG}",
              "key,m,n,a,op,inputs,summary"]
-    for rec in records:
-        s = rec["scroll"]
-        lines.append(",".join([
-            rec["key"][:16],
-            str(s["m"]), str(s["n"]), "+".join(str(v) for v in s["a"]),
-            rec["op"],
-            _canon(rec["inputs"]).replace(",", ";"),
-            _summary(rec["op"], rec["result"]).replace(",", ";"),
-        ]))
+    for _, op, inputs_s, scroll, key, result in rows:
+        lines.append(",".join([key[:16], str(scroll.m), str(scroll.n), "+".join(str(v) for v in scroll.a), op,
+                               inputs_s.replace(",", ";"), _summary(op, result).replace(",", ";")]))
     tmp_path = out / f".summary.csv.{os.getpid()}.tmp"  # replaced whole, so a crash never tears the CSV
     try:
         tmp_path.write_text("\n".join(lines) + "\n")

@@ -22,3 +22,20 @@ def test_every_lru_cache_is_bounded():
             "windows.omega_h_intervals", "cli.build_parser"} <= set(found)
     unbounded = [name for name, fn in found.items() if fn.cache_parameters()["maxsize"] is None]
     assert not unbounded
+
+
+def test_profile_cache_is_bounded(monkeypatch):
+    # the reference route's per-profile dict is cleared when full; answers do not change
+    from scrollcohom import complexes
+    from scrollcohom.scroll import DivClass, make_scroll
+
+    x = make_scroll(1, 2, [1, 2, 3])
+    twists = [DivClass(0, 0), DivClass(-2, 1), DivClass(2, 2), DivClass(-3, 0)]
+    monkeypatch.setattr(complexes, "_PROFILE_CACHE", {})
+    unbounded = [complexes.hypercohom(x, complexes.cotangent_resolution_left(x, 1).twist(t)) for t in twists]
+    assert len(complexes._PROFILE_CACHE) > 4
+    monkeypatch.setattr(complexes, "_PROFILE_CACHE", {})
+    monkeypatch.setattr(complexes, "_PROFILE_CACHE_MAX", 4)
+    for t, want in zip(twists, unbounded):
+        assert complexes.hypercohom(x, complexes.cotangent_resolution_left(x, 1).twist(t)) == want
+        assert len(complexes._PROFILE_CACHE) <= 4

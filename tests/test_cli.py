@@ -207,6 +207,16 @@ def test_oversized_twist_is_refused_quickly(capsys, sheaf, twist):
     assert err.startswith("error: ") and "budget" in err
 
 
+def test_wide_table_is_refused_by_bytes(capsys):
+    # Sym^3000 at n = 24 with a_n - a_0 = 1: 9*10^6 cells of 25-byte fields
+    scroll = json.dumps({"m": 1, "n": 24, "a": [1] * 24 + [2]})
+    t0 = time.process_time()
+    code, out, err = run(capsys, "cohom", "--scroll", scroll, "--sheaf", O, "--twist=3000,0")
+    assert time.process_time() - t0 < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--scroll", SCROLL, "--twist=100000,0"],
     ["oracle", "--scroll", SCROLL, "--twist=100000,0", "--row", "0"],

@@ -52,6 +52,15 @@ def test_sym_twists_budget(monkeypatch):
         cohomology.sym_twists.__wrapped__(X12, 10)
 
 
+def test_sym_twists_budget_counts_bytes(monkeypatch):
+    # Sym^255 on O(1)+O(2): 256 * 256 cells, and C(256, 1) = 256 needs 2-byte fields
+    monkeypatch.setattr(cohomology, "SYM_CELL_BUDGET", 256 * 256 * 2)
+    assert cohomology.sym_twists.__wrapped__(X12, 255) == tuple((t, 1) for t in range(255, 511))
+    monkeypatch.setattr(cohomology, "SYM_CELL_BUDGET", 256 * 256 * 2 - 1)
+    with pytest.raises(ValueError, match="budget"):
+        cohomology.sym_twists.__wrapped__(X12, 255)
+
+
 def test_sym_twists_wide_fields_across_twists():
     # a = (0^6, 1): the count at twist t is C(100 - t + 5, 5), the total
     # C(106, 6) > 2^30, so neighbouring fields of many sizes sit side by side

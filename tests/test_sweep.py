@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from scrollcohom import sweep
 from scrollcohom.cli import main
+from scrollcohom.scroll import Scroll, make_scroll
 from scrollcohom.sweep import enumerate_family, record_key, run_sweep
 
 
@@ -111,3 +113,94 @@ def test_sweep_csv_is_replaced_whole(tmp_path, monkeypatch):
         run_sweep(*args)
     assert csv.read_bytes() == csv_first
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl", "summary.csv"]
+
+
+def test_record_key_golden():
+    # the key addresses stored records, so its value must not drift with the code that builds it
+    scroll = make_scroll(1, 2, [0, 1, 3])
+    inputs = {"sheaf": {"split": [[0, 0], [1, -1]]}, "twist": [2, -1]}
+    assert record_key(scroll, "cohom", inputs) == \
+        "2a7c621c1d2c02dffca13bddf82a5b9928551d74b7988659afc48b387e76ebac"
+
+
+SMALL_SWEEP = ({"m": [1], "n": [1, 2], "a_min": 1, "a_max": 2}, ["reg", "cohom"], {"split": [[0, 0]]},
+               (0, 1), (0, 0))
+
+
+def _store(tmp_path):
+    return [json.loads(line) for line in (tmp_path / "records.jsonl").read_text().splitlines()]
+
+
+def _append(tmp_path, *texts):
+    with (tmp_path / "records.jsonl").open("a") as fh:
+        fh.write("".join(texts))
+
+
+def test_only_demanded_lines_are_parsed(tmp_path, monkeypatch):
+    first = run_sweep(*SMALL_SWEEP, str(tmp_path))
+    csv_first = (tmp_path / "summary.csv").read_bytes()
+    template = _store(tmp_path)[0]
+    unrelated = [dict(template, key=hashlib.sha256(str(i).encode()).hexdigest()) for i in range(1000)]
+    _append(tmp_path, *(sweep._canon(rec) + "\n" for rec in unrelated))
+    parsed, real_loads = [], json.loads
+
+    def spy(text, *args, **kwargs):
+        parsed.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(sweep.json, "loads", spy)
+    again = run_sweep(*SMALL_SWEEP, str(tmp_path))
+    monkeypatch.undo()
+    assert again["fresh"] == 0 and again["cells"] == first["cells"] == len(parsed)
+    wanted = {rec["key"] for rec in _store(tmp_path)[:first["cells"]]}
+    assert {json.loads(text)["key"] for text in parsed} == wanted
+    assert (tmp_path / "summary.csv").read_bytes() == csv_first
+
+
+def test_key_inside_the_inputs_does_not_hide_the_record(tmp_path):
+    # the sheaf's own "key" field comes before the record's key in a canonical line
+    other = record_key(make_scroll(1, 1, [1, 1]), "reg", {"sheaf": {"split": [[0, 0]]}})
+    args = ({"m": [1], "n": [1], "a_min": 0, "a_max": 2}, ["reg", "cohom", "compare"],
+            {"key": other, "split": [[0, 0]]}, (-1, 1), (-1, 1), str(tmp_path))
+    first = run_sweep(*args)
+    assert all(f'"key":"{other}"' in line for line in (tmp_path / "records.jsonl").read_text().splitlines())
+    # the sweep builds each key from canonical strings; record_key from the objects
+    assert all(rec["key"] == record_key(Scroll.from_json(rec["scroll"]), rec["op"], rec["inputs"])
+               for rec in _store(tmp_path))
+    assert run_sweep(*args)["fresh"] == 0 < first["fresh"]
+
+
+def _edited(rec, **fields):
+    return sweep._canon(dict(rec, **fields)) + "\n"
+
+
+def test_later_valid_line_wins(tmp_path):
+    run_sweep(*SMALL_SWEEP, str(tmp_path))
+    rec = next(r for r in _store(tmp_path) if r["op"] == "reg")
+    _append(tmp_path, _edited(rec, result=dict(rec["result"], reg=99)))
+    assert run_sweep(*SMALL_SWEEP, str(tmp_path))["fresh"] == 0
+    assert (tmp_path / "summary.csv").read_text().count("reg=99") == 1
+
+
+def test_torn_newest_line_falls_back_to_older(tmp_path):
+    run_sweep(*SMALL_SWEEP, str(tmp_path))
+    csv_first = (tmp_path / "summary.csv").read_bytes()
+    rec = next(r for r in _store(tmp_path) if r["op"] == "reg")
+    _append(tmp_path, _edited(rec, result=dict(rec["result"], reg=99))[:-20])
+    assert run_sweep(*SMALL_SWEEP, str(tmp_path))["fresh"] == 0
+    assert (tmp_path / "summary.csv").read_bytes() == csv_first
+
+
+@pytest.mark.parametrize("field, value", [("inputs", {"sheaf": {"split": [[1, 0]]}}),
+                                          ("scroll", {"m": 1, "n": 1, "a": [2, 2]}),
+                                          ("op", "compare")])
+def test_record_with_edited_contents_is_recomputed(tmp_path, field, value):
+    # a line whose key was kept but whose cell was changed, by hand or by a copy from another cell
+    run_sweep(*SMALL_SWEEP, str(tmp_path))
+    csv_first = (tmp_path / "summary.csv").read_bytes()
+    lines = (tmp_path / "records.jsonl").read_text().splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if json.loads(line)["op"] == "reg")
+    lines[k] = _edited(json.loads(lines[k]), **{field: value})
+    (tmp_path / "records.jsonl").write_text("".join(lines))
+    assert run_sweep(*SMALL_SWEEP, str(tmp_path))["fresh"] == 1
+    assert (tmp_path / "summary.csv").read_bytes() == csv_first
