@@ -16,8 +16,7 @@ from .regularity import (RegularityReport, compare_regularities, is_ms_regular, 
                          reg, reg_detail, rns_is_pq_regular)
 from .scroll import DivClass, Scroll, TwistMap, make_scroll, normalize_twist
 from .sheaves import SheafSpec, sheaf_cohom, sheaf_h
-from .splitting import (SplittingReport, check_indecomposable, check_ohf, check_pure_h,
-                        check_rns, check_theorem, ground_truth_classify)
+from .splitting import SplittingReport, check_theorem, ground_truth_classify
 from .windows import Cond, nonvanishing_window
 
 __version__ = "0.1.0"
@@ -30,8 +29,7 @@ __all__ = [
     "reg", "reg_detail", "rns_is_pq_regular",
     "DivClass", "Scroll", "TwistMap", "make_scroll", "normalize_twist",
     "SheafSpec", "sheaf_cohom", "sheaf_h",
-    "SplittingReport", "check_indecomposable", "check_ohf", "check_pure_h",
-    "check_rns", "check_theorem", "ground_truth_classify",
+    "SplittingReport", "check_theorem", "ground_truth_classify",
     "Cond", "nonvanishing_window",
     "__version__",
 ]

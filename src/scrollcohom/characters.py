@@ -67,28 +67,8 @@ def weak_compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def section_monomials(x: Scroll, d: DivClass) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Monomial basis (beta, alpha) of the sections of O(d)."""
-    p, q = d.p, d.q
-    out = []
-    if p < 0:
-        return out
-    for beta in weak_compositions(p, x.n + 1):
-        s = q + sum(aj * bj for aj, bj in zip(x.a, beta))
-        for alpha in weak_compositions(s, x.m + 1):
-            out.append((beta, alpha))
-    return out
-
-
 def _bump(vec: tuple[int, ...], i: int) -> tuple[int, ...]:
     return vec[:i] + (vec[i] + 1,) + vec[i + 1:]
-
-
-def _listing_bound(x: Scroll, d: DivClass) -> int:
-    """Upper bound on len(section_monomials(x, d)) from binomial counts alone:
-    C(p+n, n) betas, each with beta . a <= p*a_n and so with at most
-    C(p*a_n + q + m, m) alphas."""
-    return monomial_count(x.n, d.p) * monomial_count(x.m, d.p * x.a[-1] + d.q)
 
 
 def mult_map_rank(x: Scroll, e: SplitBundle, by: DivClass) -> tuple[int, int]:
@@ -108,24 +88,24 @@ def mult_map_rank(x: Scroll, e: SplitBundle, by: DivClass) -> tuple[int, int]:
         shifts = tuple(DivClass(0, ak) for ak in x.a)
     else:
         raise ValueError("multiplication is supported for twists (0,1) and (1,0) only")
-    bound = sum(_listing_bound(x, s + by) + sum(_listing_bound(x, s + sh) for sh in shifts)
-                for s in e.summands)
+    bound = sum(_sign_class_bound(x, s + by, False, False)
+                + sum(_sign_class_bound(x, s + sh, False, False) for sh in shifts) for s in e.summands)
     if bound > ORACLE_BUDGET:
         raise ValueError(f"multiplication by {by.to_json()} would list up to {bound} monomials, "
                          f"over the budget of {ORACLE_BUDGET}")
     rank = 0
     target = 0
     for s in e.summands:
-        target += len(section_monomials(x, s + by))
+        target += len(_enumerate_sign_class(x, s + by, False, False))
         products = set()
         if by == DivClass(0, 1):
-            for beta, alpha in section_monomials(x, s):
+            for ch in _enumerate_sign_class(x, s, False, False):
                 for i in range(x.m + 1):
-                    products.add((beta, _bump(alpha, i)))
+                    products.add((ch.beta, _bump(ch.alpha, i)))
         else:
             for k, sh in enumerate(shifts):
-                for beta, alpha in section_monomials(x, s + sh):
-                    products.add((_bump(beta, k), alpha))
+                for ch in _enumerate_sign_class(x, s + sh, False, False):
+                    products.add((_bump(ch.beta, k), ch.alpha))
         rank += len(products)
     return rank, target
 

@@ -101,19 +101,11 @@ def _cmd_reg(args) -> int:
     return 0
 
 
-def _cmd_msreg(args) -> int:
+def _cmd_at(args) -> int:
     x = _scroll_arg(args.scroll)
     spec = _sheaf_arg(args.sheaf)
     p, q = _pair(args.at, "--at")
-    _emit(is_ms_regular(x, spec, p, q).to_json())
-    return 0
-
-
-def _cmd_pqreg(args) -> int:
-    x = _scroll_arg(args.scroll)
-    spec = _sheaf_arg(args.sheaf)
-    p, q = _pair(args.at, "--at")
-    _emit(is_pq_regular(x, spec, p, q).to_json())
+    _emit(args.report(x, spec, p, q).to_json())
     return 0
 
 
@@ -210,15 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sheaf", required=True)
     p.add_argument("--scan", help="lo:hi, check every p of it pointwise instead of the exact intervals")
 
-    p = add("pqreg", _cmd_pqreg, "(p,q)-regularity report at a point")
-    p.add_argument("--scroll", required=True)
-    p.add_argument("--sheaf", required=True)
-    p.add_argument("--at", required=True, help="p,q")
-
-    p = add("msreg", _cmd_msreg, "multigraded regularity report at a point")
-    p.add_argument("--scroll", required=True)
-    p.add_argument("--sheaf", required=True)
-    p.add_argument("--at", required=True, help="p,q")
+    for name, report, help_text in (("pqreg", is_pq_regular, "(p,q)-regularity report at a point"),
+                                    ("msreg", is_ms_regular, "multigraded regularity report at a point")):
+        p = add(name, _cmd_at, help_text)
+        p.set_defaults(report=report)
+        p.add_argument("--scroll", required=True)
+        p.add_argument("--sheaf", required=True)
+        p.add_argument("--at", required=True, help="p,q")
 
     p = add("compare", _cmd_compare, "multigraded vs (p,q)-regularity over a box")
     p.add_argument("--scroll", required=True)

@@ -131,18 +131,19 @@ def add_tables(t1, t2) -> tuple[int, ...]:
 
 @lru_cache(maxsize=2**14)
 def line_cohom(x: Scroll, d: DivClass) -> tuple[int, ...]:
-    """Cohomology table (h^0, ..., h^{n+m}) of O(d.p * H + d.q * F)."""
-    table = [0] * (x.dim + 1)
+    """Cohomology table (h^0, ..., h^{n+m}) of O(d.p * H + d.q * F).  For
+    p < -n it is the reversed table of the Serre-dual class
+    (-p-n-1, c-q-1-m), as in :func:`omega_cohom`."""
     p, q = d.p, d.q
+    dual = p < -x.n
+    if dual:
+        p, q = -p - x.n - 1, x.c - q - 1 - x.m
+    table = [0] * (x.dim + 1)
     if p >= 0:
         h0, hm = _base_sum(x.m, sym_twists(x, p), q)
         table[0] += h0
         table[x.m] += hm
-    elif p < -x.n:
-        h0, hm = _base_sum(x.m, sym_twists(x, -p - x.n - 1), x.c - q - 1 - x.m)
-        table[x.dim] += h0
-        table[x.n] += hm
-    return tuple(table)
+    return tuple(table[::-1] if dual else table)
 
 
 def check_omega_index(x: Scroll, i: int):

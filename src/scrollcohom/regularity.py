@@ -18,12 +18,13 @@ grid is decided the same way, row q by row q.
 The multigraded notion with respect to the nef pair {H, F} asks instead for
 h^{i+j}(E(P)<-i, -j>) = 0 for all i, j >= 0 with (i,j) != (0,0); degrees
 above dim X vanish identically, so the check truncates at i+j <= n+m.
-Multigraded regularity implies (p,q)-regularity but not conversely.
+Multigraded regularity implies (p,q)-regularity, except when H = 0, but
+not conversely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec, sheaf_h
@@ -70,20 +71,6 @@ def pq_conditions(x: Scroll) -> list[Cond]:
     return conds
 
 
-def rns_pq_conditions(x: Scroll) -> list[Cond]:
-    """The m = 1 restatement: (a) top pair, (b) j = 1 column, (c) j = 0 row."""
-    if x.m != 1:
-        raise ValueError("the rational normal scroll form needs base dimension 1")
-    conds = [Cond("a", x.n + 1, -x.n, x.c - 2, idx=(x.n, 1))]
-    if x.n > 0:
-        conds.append(Cond("a", x.n, -x.n, x.c - 1, idx=(x.n, 0)))
-    for i in range(x.n):
-        conds.append(Cond("b", i + 1, -i, i - 1, idx=(i, 1)))
-    for i in range(1, x.n):
-        conds.append(Cond("c", i, -i, i, idx=(i, 0)))
-    return conds
-
-
 def ms_conditions(x: Scroll) -> list[Cond]:
     conds = []
     for total in range(1, x.dim + 1):
@@ -109,12 +96,25 @@ def is_pq_regular(x: Scroll, spec: SheafSpec, p: int, q: int) -> RegularityRepor
 
 
 def rns_is_pq_regular(x: Scroll, spec: SheafSpec, p: int, q: int) -> RegularityReport:
-    return _run_conditions(x, spec, rns_pq_conditions(x), p, q, "rns-pq")
+    """The m = 1 restatement: (a) top pair, (b) j = 1 column, (c) j = 0 row,
+    the pq conditions with the j = 0 row of (b) relabelled."""
+    if x.m != 1:
+        raise ValueError("the rational normal scroll form needs base dimension 1")
+    conds = [replace(c, label="c") if c.label == "b" and c.idx[1] == 0 else c for c in pq_conditions(x)]
+    return _run_conditions(x, spec, conds, p, q, "rns-pq")
 
 
 def _require_semipositive(x: Scroll):
     if not x.is_semipositive:
         raise ValueError("multigraded regularity needs a semipositive scroll (H nef)")
+
+
+def ms_implies_pq(x: Scroll) -> bool:
+    """The precondition of :func:`compare_regularities`: H and F nef (a
+    semipositive scroll) and H != 0.  H = 0 exactly when n = 0 and a = (0,);
+    there condition (a) reads the ms (0, j) group twisted by (c - 1)F, which
+    is not nef, and multigraded regularity does not imply (p,q)."""
+    return x.is_semipositive and (x.n, x.c) != (0, 0)
 
 
 def is_ms_regular(x: Scroll, spec: SheafSpec, p: int, q: int) -> RegularityReport:
@@ -221,8 +221,11 @@ def compare_regularities(x: Scroll, spec: SheafSpec, pbox: tuple[int, int], qbox
     implies (p,q); any (true, false) point is recorded as a violation.
     Each row q is read off the exact intervals where some ms or pq
     condition is nonzero; is_ms_regular and is_pq_regular are the
-    pointwise reports of the same cells."""
+    pointwise reports of the same cells.  Needs :func:`ms_implies_pq`."""
     _require_semipositive(x)
+    if not ms_implies_pq(x):
+        raise ValueError("compare needs H != 0; on P(O(0)) over P^m (n = 0) multigraded "
+                         "regularity does not imply (p,q)-regularity")
     families = (ms_conditions(x), pq_conditions(x))
     rows = {q: [_failing(x, spec, conds, q) for conds in families] for q in range(qbox[0], qbox[1] + 1)}
     points, seps, bad = [], [], []

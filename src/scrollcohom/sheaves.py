@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cohomology import SplitBundle, bundle_cohom, choose, omega_cohom
+from .cohomology import SplitBundle, bundle_cohom, check_omega_index, omega_cohom
 from .scroll import ZERO, DivClass, Scroll, json_int
 
 
@@ -28,27 +28,16 @@ class SheafSpec:
 
     @staticmethod
     def from_split(summands) -> "SheafSpec":
-        if isinstance(summands, SplitBundle):
-            return SheafSpec("split", split=summands)
         return SheafSpec("split", split=SplitBundle(tuple(DivClass(p, q) for p, q in summands)))
 
     @staticmethod
     def from_omega(i: int, twist: DivClass = ZERO) -> "SheafSpec":
         return SheafSpec("omega", omega_i=i, omega_twist=twist)
 
-    def rank(self, x: Scroll) -> int:
-        if self.kind == "split":
-            return self.split.rank
-        return choose(x.n, self.omega_i)
-
-    def twist(self, t: DivClass) -> "SheafSpec":
-        if self.kind == "split":
-            return SheafSpec("split", split=self.split.twist(t))
-        return SheafSpec("omega", omega_i=self.omega_i, omega_twist=self.omega_twist + t)
-
     def dual(self, x: Scroll) -> "SheafSpec":
         if self.kind == "split":
             return SheafSpec("split", split=self.split.dual())
+        check_omega_index(x, self.omega_i)
         dual_twist = DivClass(x.n + 1, -x.c) - self.omega_twist
         return SheafSpec("omega", omega_i=x.n - self.omega_i, omega_twist=dual_twist)
 

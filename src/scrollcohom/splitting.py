@@ -1,7 +1,8 @@
 """Cohomological splitting criteria on positive scrolls with m, n > 0.
 
-Three criteria are implemented, each deciding a hypothesis list of
-vanishing conditions against a catalog sheaf:
+:func:`check_theorem` is the one entry to all six: three criteria, each
+deciding a hypothesis list of vanishing conditions against a catalog sheaf,
+and their m = 1 forms.
 
 * pure-H ("2.1"): E splits as a sum of O(t_i H) if and only if, for every
   integer t, h^{n+j}(E<t, c-j-1>) = 0 for 0 <= j < m and
@@ -27,9 +28,9 @@ vanishing conditions against a catalog sheaf:
   j = m it would coincide with the (iii)/(iv) detectors themselves and no
   bundle could ever reach those conclusions.
 
-The m = 1 special forms read the general lists: "c2.5" scans the 2.1
-conditions as they are, and "c2.6" and "c2.7" are 2.2 and 2.3 without
-their (c) conditions (c1/c2 in 2.3).
+The m = 1 forms ("c2.5", "c2.6", "c2.7") need base dimension 1 and read
+the general lists: "c2.5" scans the 2.1 conditions as they are, and "c2.6"
+and "c2.7" are 2.2 and 2.3 without their (c) conditions (c1/c2 in 2.3).
 
 'For every integer t' is decided by one interval pass per check,
 :func:`scrollcohom.windows.window_pass`: it gives each condition's own
@@ -111,11 +112,6 @@ def subset_values(x: Scroll) -> list[tuple[int, int]]:
     return [(r, a_i) for r in range(1, x.n + 1) for a_i, _ in sums[r]]
 
 
-def _require_splitting_scroll(x: Scroll):
-    if not (x.is_positive and x.m > 0 and x.n > 0):
-        raise ValueError("splitting criteria need a positive scroll with m, n > 0")
-
-
 def pure_h_conditions(x: Scroll) -> list[Cond]:
     conds = [Cond("a", x.n + j, 0, x.c - j - 1, idx=(j,)) for j in range(x.m)]
     for j in range(x.m + 1):
@@ -184,61 +180,46 @@ def _scan_window(x: Scroll, spec: SheafSpec, conds: list[Cond], theorem: str) ->
     return SplittingReport(theorem, not witnesses, tuple(witnesses), window=window)
 
 
-def check_pure_h(x: Scroll, spec: SheafSpec) -> SplittingReport:
-    """Does E satisfy the cohomological characterization of (+) O(t_i H)?"""
-    _require_splitting_scroll(x)
-    return _scan_window(x, spec, pure_h_conditions(x), "2.1")
+_SCANS = {"2.1": pure_h_conditions, "2.2": ohf_conditions,
+          "c2.5": pure_h_conditions, "c2.6": rns_ohf_conditions}
 
 
-def check_ohf(x: Scroll, spec: SheafSpec) -> SplittingReport:
-    """Does E satisfy the characterization of sums of twisted O, O(F), O(H-F)?"""
-    _require_splitting_scroll(x)
-    return _scan_window(x, spec, ohf_conditions(x), "2.2")
-
-
-_CASE_CONCLUSIONS = {"i": "O", "ii": "O(F)", "iii": "O(H-F)"}
-
-
-def _detectors(x: Scroll) -> list[tuple[str, int | None, Cond]]:
+def _detectors(x: Scroll) -> list[tuple[str, int | None, str, Cond]]:
     dets = [
-        ("i", None, Cond("case", x.dim, -(x.n + 1), x.c - x.m - 1)),
-        ("ii", None, Cond("case", x.n, -(x.n + 1), x.c - 1)),
-        ("iii", None, Cond("case", x.m, -1, -x.m)),
+        ("i", None, "O", Cond("case", x.dim, -(x.n + 1), x.c - x.m - 1)),
+        ("ii", None, "O(F)", Cond("case", x.n, -(x.n + 1), x.c - 1)),
+        ("iii", None, "O(H-F)", Cond("case", x.m, -1, -x.m)),
     ]
     for i in range(1, x.n):
-        dets.append(("iv", i, Cond("case", i + x.m, -(i + 1), i - x.m)))
+        dets.append(("iv", i, f"Omega^{i}<{i + 1},-{i + 1}>", Cond("case", i + x.m, -(i + 1), i - x.m)))
     return dets
 
 
 def _classify(x: Scroll, spec: SheafSpec) -> tuple[tuple[CaseFired, ...], str | None]:
     fired = []
-    for case, i, cond in _detectors(x):
+    for case, i, conclusion, cond in _detectors(x):
         h = eval_cond(x, spec, cond)
         if h:
-            conclusion = _CASE_CONCLUSIONS[case] if case in _CASE_CONCLUSIONS else f"Omega^{i}<{i + 1},-{i + 1}>"
             fired.append(CaseFired(case, i, h, conclusion))
     conclusion = fired[0].conclusion if len(fired) == 1 else None
     return tuple(fired), conclusion
 
 
-def check_indecomposable(x: Scroll, spec: SheafSpec, rns: bool = False) -> SplittingReport:
-    """Hypotheses and case classification for indecomposable regular bundles.
+def _indecomposable_check(x: Scroll, spec: SheafSpec, theorem: str) -> SplittingReport:
+    """Hypotheses and case classification for indecomposable regular bundles;
+    c2.7 drops the c1/c2 hypotheses.
 
     Reg(E) is measured, never assumed; a nonzero value is reported as a
     precondition failure and the hypotheses and case split are still
     evaluated for inspection.
     """
-    _require_splitting_scroll(x)
-    theorem = "c2.7" if rns else "2.3"
-    if rns and x.m != 1:
-        raise ValueError("the rational normal scroll form needs base dimension 1")
     reg_res = reg_detail(x, spec)
     pre = ()
     if reg_res.value != 0:
         pre = (f"Reg(E) = {reg_res.value}, hypothesis needs 0",)
     witnesses = []
     for cond in indecomposable_hypotheses(x):
-        if rns and cond.label in ("c1", "c2"):
+        if theorem == "c2.7" and cond.label in ("c1", "c2"):
             continue
         h = eval_cond(x, spec, cond)
         if h:
@@ -251,30 +232,23 @@ def check_indecomposable(x: Scroll, spec: SheafSpec, rns: bool = False) -> Split
                            fired=fired, conclusion=conclusion)
 
 
-def check_rns(x: Scroll, spec: SheafSpec, which: str) -> SplittingReport:
-    """The m = 1 forms of the three criteria."""
-    if x.m != 1:
-        raise ValueError("the rational normal scroll criteria need base dimension 1")
-    _require_splitting_scroll(x)
-    if which == "c2.5":
-        return _scan_window(x, spec, pure_h_conditions(x), "c2.5")
-    if which == "c2.6":
-        return _scan_window(x, spec, rns_ohf_conditions(x), "c2.6")
-    if which == "c2.7":
-        return check_indecomposable(x, spec, rns=True)
-    raise ValueError(f"unknown criterion {which!r}; expected one of c2.5, c2.6, c2.7")
-
-
 def check_theorem(x: Scroll, spec: SheafSpec, which: str) -> SplittingReport:
-    if which == "2.1":
-        return check_pure_h(x, spec)
-    if which == "2.2":
-        return check_ohf(x, spec)
-    if which == "2.3":
-        return check_indecomposable(x, spec)
-    if which in ("c2.5", "c2.6", "c2.7"):
-        return check_rns(x, spec, which)
-    raise ValueError(f"unknown criterion {which!r}; expected one of {THEOREM_IDS}")
+    """Run criterion `which`, one of THEOREM_IDS, on E = spec.
+
+    The criterion id, the m = 1 requirement of the c-forms and the scroll
+    are checked here, once each; 2.1, 2.2, c2.5 and c2.6 then scan their
+    condition family over every t, and 2.3 and c2.7 run the indecomposable
+    check.
+    """
+    if which not in THEOREM_IDS:
+        raise ValueError(f"unknown criterion {which!r}; expected one of {THEOREM_IDS}")
+    if which.startswith("c") and x.m != 1:
+        raise ValueError("the rational normal scroll criteria need base dimension 1")
+    if not (x.is_positive and x.m > 0 and x.n > 0):
+        raise ValueError("splitting criteria need a positive scroll with m, n > 0")
+    if which in _SCANS:
+        return _scan_window(x, spec, _SCANS[which](x), which)
+    return _indecomposable_check(x, spec, which)
 
 
 def ground_truth_classify(e: SplitBundle) -> dict[str, bool]:

@@ -17,7 +17,7 @@ import re
 import time
 from pathlib import Path
 
-from .regularity import compare_regularities, reg_detail
+from .regularity import compare_regularities, ms_implies_pq, reg_detail
 from .scroll import DivClass, Scroll, json_int, make_scroll
 from .sheaves import SheafSpec, sheaf_cohom
 
@@ -81,40 +81,36 @@ def _run_op(scroll: Scroll, op: str, inputs: dict) -> dict:
         t = DivClass.from_json(inputs["twist"])
         return {"h": list(sheaf_cohom(scroll, spec, t))}
     if op == "reg":
-        scan = tuple(inputs["scan"]) if inputs.get("scan") else None
-        return reg_detail(scroll, spec, scan).to_json()
-    if op == "compare":
-        rep = compare_regularities(scroll, spec, tuple(inputs["pbox"]), tuple(inputs["qbox"]))
-        return {"ok": rep.ok, "separations": [list(s) for s in rep.separations],
-                "violations": [list(v) for v in rep.violations]}
-    raise ValueError(f"unknown sweep op {op!r}; expected one of {OPS}")
+        return reg_detail(scroll, spec).to_json()
+    rep = compare_regularities(scroll, spec, tuple(inputs["pbox"]), tuple(inputs["qbox"]))
+    return {"ok": rep.ok, "separations": [list(s) for s in rep.separations],
+            "violations": [list(v) for v in rep.violations]}
 
 
 def _cells(scrolls, ops, sheaf_json, pbox, qbox):
     """The grid as (scroll, scroll JSON, op, inputs, inputs JSON, op JSON) tuples,
-    in canonical JSON; an op's inputs are built and encoded once for all scrolls."""
+    in canonical JSON; an op's inputs are built and encoded once for all scrolls,
+    and the cells are counted, and too many refused, before the grid is built."""
+    todo = [(scroll, op) for scroll in scrolls for op in ops if op != "compare" or ms_implies_pq(scroll)]
     grid: dict[str, list] = {}
-    cells = []
-    for scroll in scrolls:
-        scroll_s = _canon(scroll.to_json())
-        for op in ops:
-            if op == "compare" and not scroll.is_semipositive:
-                continue
-            if op not in grid:
-                if op == "cohom":
-                    check_box(pbox, qbox)
-                    inputs = [{"sheaf": sheaf_json, "twist": [p, q]}
-                              for p in range(pbox[0], pbox[1] + 1) for q in range(qbox[0], qbox[1] + 1)]
-                elif op == "reg":
-                    inputs = [{"sheaf": sheaf_json}]
-                elif op == "compare":
-                    check_box(pbox, qbox)
-                    inputs = [{"sheaf": sheaf_json, "pbox": list(pbox), "qbox": list(qbox)}]
-                else:
-                    raise ValueError(f"unknown sweep op {op!r}; expected one of {OPS}")
-                grid[op] = [(i, _canon(i), _canon(op)) for i in inputs]
-            cells.extend((scroll, scroll_s, op) + entry for entry in grid[op])
-    return cells
+    for op in dict.fromkeys(op for _, op in todo):
+        if op == "cohom":
+            check_box(pbox, qbox)
+            inputs = [{"sheaf": sheaf_json, "twist": [p, q]}
+                      for p in range(pbox[0], pbox[1] + 1) for q in range(qbox[0], qbox[1] + 1)]
+        elif op == "reg":
+            inputs = [{"sheaf": sheaf_json}]
+        elif op == "compare":
+            check_box(pbox, qbox)
+            inputs = [{"sheaf": sheaf_json, "pbox": list(pbox), "qbox": list(qbox)}]
+        else:
+            raise ValueError(f"unknown sweep op {op!r}; expected one of {OPS}")
+        grid[op] = [(i, _canon(i), _canon(op)) for i in inputs]
+    total = sum(len(grid[op]) for _, op in todo)
+    if total > MAX_CELLS:
+        raise ValueError(f"sweep grid has {total} cells, over the {MAX_CELLS} limit; shrink the boxes")
+    scroll_s = {scroll: _canon(scroll.to_json()) for scroll in scrolls}
+    return [(scroll, scroll_s[scroll], op) + entry for scroll, op in todo for entry in grid[op]]
 
 
 def _stored(lines: list[str], key: str, scroll: Scroll, op: str, inputs: dict) -> dict | None:
@@ -135,9 +131,7 @@ def _summary(op: str, result: dict) -> str:
         return "h=" + ",".join(str(v) for v in result["h"])
     if op == "reg":
         return f"reg={result['reg']}"
-    if op == "compare":
-        return f"ok={result['ok']} separations={len(result['separations'])}"
-    return ""
+    return f"ok={result['ok']} separations={len(result['separations'])}"
 
 
 def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | None = None) -> dict:
@@ -146,8 +140,6 @@ def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | No
     (argument, else $SCROLLCOHOM_CACHE, else ./scrollcohom-sweep)."""
     scrolls = enumerate_family(family)
     cells = _cells(scrolls, ops, sheaf_json, pbox, qbox)
-    if len(cells) > MAX_CELLS:
-        raise ValueError(f"sweep grid has {len(cells)} cells, over the {MAX_CELLS} limit; shrink the boxes")
 
     out = Path(out_dir or os.environ.get(CACHE_ENV) or "scrollcohom-sweep")
     out.mkdir(parents=True, exist_ok=True)

@@ -26,8 +26,7 @@ from .regularity import (compare_regularities, is_ms_regular, is_pq_regular, reg
                          rns_is_pq_regular)
 from .scroll import DivClass, Scroll, make_scroll, normalize_twist
 from .sheaves import SheafSpec, sheaf_h
-from .splitting import (check_indecomposable, check_ohf, check_pure_h, check_rns,
-                        ground_truth_classify, ohf_conditions, pure_h_conditions)
+from .splitting import check_theorem, ground_truth_classify, ohf_conditions, pure_h_conditions
 from .windows import eval_cond, omega_h_intervals
 
 FAMILY = (
@@ -551,9 +550,9 @@ def suite_splitting() -> list[CheckResult]:
         for combo in _small_split_catalog(1, 2):
             e = SheafSpec.from_split(combo)
             truth = ground_truth_classify(e.split)
-            if check_pure_h(x, e).verdict != truth["pure_h"]:
+            if check_theorem(x, e, "2.1").verdict != truth["pure_h"]:
                 bad.append((x, combo, "pure_h"))
-            if check_ohf(x, e).verdict != truth["ohf"]:
+            if check_theorem(x, e, "2.2").verdict != truth["ohf"]:
                 bad.append((x, combo, "ohf"))
     out.append(_result("splitting", "catalog-ground-truth", bad))
 
@@ -561,8 +560,8 @@ def suite_splitting() -> list[CheckResult]:
     for x in scrolls:
         for combo in ([(0, 0)], [(0, 1)], [(1, -1), (2, 0)], [(0, 2)]):
             e = SheafSpec.from_split(combo)
-            for conds, rep in ((pure_h_conditions(x), check_pure_h(x, e)),
-                               (ohf_conditions(x), check_ohf(x, e))):
+            for conds, rep in ((pure_h_conditions(x), check_theorem(x, e, "2.1")),
+                               (ohf_conditions(x), check_theorem(x, e, "2.2"))):
                 lo, hi = rep.window
                 for t in (lo - 1, lo - 2, hi + 1, hi + 2):
                     for cond in conds:
@@ -574,21 +573,21 @@ def suite_splitting() -> list[CheckResult]:
     for x in scrolls:
         for combo in _small_split_catalog(1, 2):
             e = SheafSpec.from_split(combo)
-            if check_pure_h(x, e).verdict != check_rns(x, e, "c2.5").verdict:
+            if check_theorem(x, e, "2.1").verdict != check_theorem(x, e, "c2.5").verdict:
                 bad.append((x, combo, "c2.5"))
-            if check_ohf(x, e).verdict != check_rns(x, e, "c2.6").verdict:
+            if check_theorem(x, e, "2.2").verdict != check_theorem(x, e, "c2.6").verdict:
                 bad.append((x, combo, "c2.6"))
     out.append(_result("splitting", "rational-normal-scroll-equivalence", bad))
 
     bad = []
     x = make_scroll(1, 1, [1, 2])
     for summands, case, conclusion in ([(0, 0)], "i", "O"), ([(0, 1)], "ii", "O(F)"), ([(1, -1)], "iii", "O(H-F)"):
-        rep = check_indecomposable(x, SheafSpec.from_split(summands))
+        rep = check_theorem(x, SheafSpec.from_split(summands), "2.3")
         fired = [(c.case, c.conclusion) for c in rep.fired]
         if not rep.verdict or fired != [(case, conclusion)]:
             bad.append((summands, rep.verdict, fired))
     y = make_scroll(1, 3, [1, 1, 1, 1])
-    rep = check_indecomposable(y, SheafSpec.from_omega(2, DivClass(3, -3)))
+    rep = check_theorem(y, SheafSpec.from_omega(2, DivClass(3, -3)), "2.3")
     if not (rep.reg.value == 0 and rep.verdict and [(c.case, c.i) for c in rep.fired] == [("iv", 2)]):
         bad.append(("omega", rep.reg.value, rep.verdict, rep.fired))
     out.append(_result("splitting", "indecomposable-case-classification", bad))

@@ -7,8 +7,7 @@ lines and timings.
 import itertools
 import time
 
-from scrollcohom import (DivClass, SheafSpec, character_cohom, check_indecomposable, check_ohf,
-                         check_pure_h, check_rns, compare_regularities,
+from scrollcohom import (DivClass, SheafSpec, character_cohom, check_theorem, compare_regularities,
                          is_ms_regular, is_pq_regular, line_cohom, make_scroll, mult_map_rank,
                          omega_cohom, reg, rns_is_pq_regular, sheaf_h)
 from scrollcohom.cohomology import is_globally_generated, zero_table
@@ -165,7 +164,7 @@ def test_criterion_08_pure_h_biconditional():
     for x in SPLIT_SCROLLS:
         for combo in _split_catalog():
             e = SheafSpec.from_split(combo)
-            rep = check_pure_h(x, e)
+            rep = check_theorem(x, e, "2.1")
             want = all(q == 0 for _, q in combo)
             if rep.verdict != want:
                 bad.append((x, combo, rep.verdict))
@@ -184,7 +183,7 @@ def test_criterion_09_ohf_ground_truth():
         for combo in _split_catalog():
             e = SheafSpec.from_split(combo)
             want = all(q in (-1, 0, 1) for _, q in combo)
-            if check_ohf(x, e).verdict != want:
+            if check_theorem(x, e, "2.2").verdict != want:
                 bad.append((x, combo))
     _report(9, "O/O(F)/O(H-F) splitting matches ground truth over the catalog", bad, t0)
 
@@ -194,11 +193,11 @@ def test_criterion_10_indecomposable_cases():
     bad = []
     x = make_scroll(1, 1, [1, 2])
     for summands, case, conclusion in ([(0, 0)], "i", "O"), ([(0, 1)], "ii", "O(F)"), ([(1, -1)], "iii", "O(H-F)"):
-        rep = check_indecomposable(x, SheafSpec.from_split(summands))
+        rep = check_theorem(x, SheafSpec.from_split(summands), "2.3")
         if not rep.verdict or [(c.case, c.conclusion) for c in rep.fired] != [(case, conclusion)]:
             bad.append((summands, rep.to_json()))
     y = make_scroll(1, 3, [1, 1, 1, 1])
-    rep = check_indecomposable(y, SheafSpec.from_omega(2, DivClass(3, -3)))
+    rep = check_theorem(y, SheafSpec.from_omega(2, DivClass(3, -3)), "2.3")
     if rep.reg.value is None:
         bad.append("Reg was not measured")
     if rep.witnesses or rep.precondition_failures:
@@ -217,13 +216,13 @@ def test_criterion_11_rns_equivalence():
     for x in SPLIT_SCROLLS:
         for combo in _split_catalog():
             e = SheafSpec.from_split(combo)
-            if check_rns(x, e, "c2.5").verdict != check_pure_h(x, e).verdict:
+            if check_theorem(x, e, "c2.5").verdict != check_theorem(x, e, "2.1").verdict:
                 bad.append((x, combo, "c2.5"))
-            if check_rns(x, e, "c2.6").verdict != check_ohf(x, e).verdict:
+            if check_theorem(x, e, "c2.6").verdict != check_theorem(x, e, "2.2").verdict:
                 bad.append((x, combo, "c2.6"))
         for combo in _split_catalog(box=1, max_rank=2):
             e = SheafSpec.from_split(combo)
-            g, r = check_indecomposable(x, e), check_rns(x, e, "c2.7")
+            g, r = check_theorem(x, e, "2.3"), check_theorem(x, e, "c2.7")
             if (g.verdict, [(c.case, c.i) for c in g.fired]) != (r.verdict, [(c.case, c.i) for c in r.fired]):
                 bad.append((x, combo, "c2.7"))
             for p in (-1, 0, 1):

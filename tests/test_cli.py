@@ -7,6 +7,7 @@ from scrollcohom.cli import main
 
 SCROLL = '{"m":1,"n":1,"a":[1,2]}'
 F2 = '{"m":1,"n":1,"a":[0,2]}'
+H0 = '{"m":1,"n":0,"a":[0]}'  # P(O(0)) over P^1, where H = 0
 O = '{"split":[[0,0]]}'
 
 
@@ -160,22 +161,62 @@ def test_verify_single_suite(capsys):
     assert "PASS scroll-core/serre-dual-involution" in out
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["reg", "--scroll", SCROLL, "--sheaf", O, "--scan", "5:1"], 2),
-    (["compare", "--scroll", F2, "--sheaf", O, "--pbox=2:-2", "--qbox=-1:1"], 2),
-    (["compare", "--scroll", F2, "--sheaf", O, "--pbox=-1:1", "--qbox=1:-1"], 2),
-    (["table", "--scroll", SCROLL, "--sheaf", O, "--pbox", "3:1", "--qbox", "0:0"], 2),
-    (["sweep", "--family", '{"m":[1],"n":[1],"a_min":1,"a_max":2}', "--pbox", "1:0"], 2),
-    (["sweep", "--family", '{"m":[1],"n":[1],"a_min":3,"a_max":1}'], 1),
-], ids=["reg-scan", "compare-pbox", "compare-qbox", "table-pbox", "sweep-pbox", "sweep-family"])
-def test_reversed_range_is_an_error(capsys, tmp_path, argv, code):
+@pytest.mark.parametrize("argv, code, says", [
+    (["reg", "--scroll", SCROLL, "--sheaf", O, "--scan", "5:1"], 2, "--scan must have lo <= hi"),
+    (["compare", "--scroll", F2, "--sheaf", O, "--pbox=2:-2", "--qbox=-1:1"], 2, "--pbox must have lo <= hi"),
+    (["compare", "--scroll", F2, "--sheaf", O, "--pbox=-1:1", "--qbox=1:-1"], 2, "--qbox must have lo <= hi"),
+    (["table", "--scroll", SCROLL, "--sheaf", O, "--pbox", "3:1", "--qbox", "0:0"], 2, "--pbox must have lo <= hi"),
+    (["sweep", "--family", '{"m":[1],"n":[1],"a_min":1,"a_max":2}', "--pbox", "1:0"], 2,
+     "--pbox must have lo <= hi"),
+    (["sweep", "--family", '{"m":[1],"n":[1],"a_min":3,"a_max":1}'], 1, "family needs a_min <= a_max"),
+    # other refused input, each message naming the fault
+    (["split", "--scroll", SCROLL, "--sheaf", '{"omega":{"i":2,"twist":[0,0]}}', "--theorem", "2.2"], 1,
+     "cotangent power index 2 out of range"),
+    (["split", "--scroll", SCROLL, "--sheaf", '{"omega":{"i":-1,"twist":[0,0]}}', "--theorem", "2.2"], 1,
+     "cotangent power index -1 out of range"),
+    (["split", "--scroll", '{"m":2,"n":1,"a":[1,3]}', "--sheaf", O, "--theorem", "c2.5"], 1,
+     "need base dimension 1"),
+    (["compare", "--scroll", H0, "--sheaf", O, "--pbox=-1:1", "--qbox=-1:1"], 1, "compare needs H != 0"),
+    (["cohom", "--scroll", SCROLL, "--sheaf", O, "--twist=a,b"], 2, "--twist must look like"),
+    (["cohom", "--scroll", SCROLL, "--sheaf", '{"omega":{"i":1,"twist":[0,0]}}', "--oracle"], 2,
+     "split sheaves only"),
+    (["verify", "--suite", "nope"], 2, "unknown suite 'nope'"),
+    (["sweep", "--family", '{"m":[1],"n":[1],"a_min":1,"a_max":2}', "--ops", "nope"], 2, "unknown op 'nope'"),
+], ids=["reg-scan", "compare-pbox", "compare-qbox", "table-pbox", "sweep-pbox", "sweep-family",
+        "omega-index-high", "omega-index-low", "rns-form-m2", "compare-h-zero", "twist", "oracle-omega",
+        "verify-suite", "sweep-op"])
+def test_reversed_range_is_an_error(capsys, tmp_path, argv, code, says):
     out_dir = tmp_path / "out"
     if argv[0] == "sweep":
         argv = argv + ["--out", str(out_dir)]
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
-    assert err.startswith("usage error: " if code == 2 else "error: ")
+    assert err.startswith("usage error: " if code == 2 else "error: ") and says in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["reg", "--scroll", H0, "--sheaf", '{"split":[[0,5]]}'],
+     '{"flags":["no-condition-can-fail"],"monotone_verified":true,"reg":null,"scan":[0,0]}'),
+    (["split", "--scroll", '{"m":1,"n":3,"a":[1,1,1,1]}', "--sheaf", '{"omega":{"i":2,"twist":[3,-3]}}',
+      "--theorem", "c2.7"],
+     '{"cases":[{"case":"iv","conclusion":"Omega^2<3,-3>","h":1,"i":2}],"conclusion":"Omega^2<3,-3>",'
+     '"reg":{"flags":[],"monotone_verified":true,"reg":0,"scan":[-1,0]},"theorem":"c2.7","verdict":true,'
+     '"witnesses":[]}'),
+    (["table", "--scroll", SCROLL, "--sheaf", O, "--pbox", "0:1", "--qbox", "0:0", "--fmt", "json"],
+     '{"rows":[{"h":[1,0,0],"p":0,"q":0},{"h":[5,0,0],"p":1,"q":0}],"scroll":{"a":[1,2],"m":1,"n":1},'
+     '"sheaf":{"split":[[0,0]]}}'),
+    (["split", "--scroll", SCROLL, "--sheaf", '{"split":[[-2,0]]}', "--theorem", "2.3"],
+     '{"cases":[{"case":"i","conclusion":"O","h":12,"i":null}],"conclusion":"O",'
+     '"precondition_failures":["Reg(E) = 2, hypothesis needs 0"],'
+     '"reg":{"flags":[],"monotone_verified":true,"reg":2,"scan":[1,2]},"theorem":"2.3","verdict":false,'
+     '"witnesses":[]}'),
+    (["compare", "--scroll", '{"m":1,"n":0,"a":[1]}', "--sheaf", O, "--pbox=-1:0", "--qbox=0:1"],
+     '{"ok":true,"points":[[-1,0,false,false],[-1,1,true,true],[0,0,true,true],[0,1,true,true]],'
+     '"separations":[],"violations":[]}'),
+], ids=["reg-h-zero", "split-c2.7-cotangent", "table-json", "split-2.3-reg-2", "compare-n0-h-nonzero"])
+def test_exact_stdout(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want + "\n", "")
 
 
 def test_shared_parser_gives_identical_runs(capsys):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from scrollcohom import (DivClass, SheafSpec, compare_regularities, is_ms_regular, is_pq_regular,
                          make_scroll, reg, reg_detail, rns_is_pq_regular)
-from scrollcohom.regularity import _failing, pq_conditions
+from scrollcohom.regularity import _failing, ms_implies_pq, pq_conditions
 from scrollcohom.verify import classical_pn_regular
 from scrollcohom.windows import INF
 
@@ -197,6 +197,10 @@ def test_compare_grid_matches_pointwise_reports(case, p0, q0):
     # on semipositive scrolls including a_0 = 0
     x, spec = case
     pbox, qbox = (p0, p0 + 3), (q0, q0 + 3)
+    if not ms_implies_pq(x):  # H = 0: compare refuses
+        with pytest.raises(ValueError, match="H != 0"):
+            compare_regularities(x, spec, pbox, qbox)
+        return
     rep = compare_regularities(x, spec, pbox, qbox)
     want = [(p, q, is_ms_regular(x, spec, p, q).verdict, is_pq_regular(x, spec, p, q).verdict)
             for p in range(pbox[0], pbox[1] + 1) for q in range(qbox[0], qbox[1] + 1)]

@@ -2,8 +2,7 @@ import itertools
 
 import pytest
 
-from scrollcohom import (DivClass, SheafSpec, check_indecomposable, check_ohf, check_pure_h,
-                         check_rns, check_theorem, ground_truth_classify, make_scroll,
+from scrollcohom import (DivClass, SheafSpec, check_theorem, ground_truth_classify, make_scroll,
                          nonvanishing_window, sheaf_h)
 from scrollcohom.cohomology import SplitBundle
 from scrollcohom.splitting import (SplittingReport, Witness, ohf_conditions, pure_h_conditions,
@@ -16,12 +15,12 @@ Y = make_scroll(1, 3, [1, 1, 1, 1])
 
 
 def test_pure_h_accepts_h_splits():
-    assert check_pure_h(X12, SheafSpec.from_split([(0, 0), (2, 0)])).verdict
-    assert check_pure_h(X112, SheafSpec.from_split([(-1, 0), (0, 0), (3, 0)])).verdict
+    assert check_theorem(X12, SheafSpec.from_split([(0, 0), (2, 0)]), "2.1").verdict
+    assert check_theorem(X112, SheafSpec.from_split([(-1, 0), (0, 0), (3, 0)]), "2.1").verdict
 
 
 def test_pure_h_rejects_with_witness():
-    rep = check_pure_h(X12, SheafSpec.from_split([(0, 1)]))
+    rep = check_theorem(X12, SheafSpec.from_split([(0, 1)]), "2.1")
     assert not rep.verdict
     w = rep.witnesses[0]
     assert (w.condition, w.t, tuple(w.indices), w.twist) == ("a", -2, (0,), DivClass(-2, 2))
@@ -32,7 +31,7 @@ def test_pure_h_rejects_with_witness():
 
 def test_pure_h_rejects_cotangent_twist():
     spec = SheafSpec.from_omega(1, DivClass(2, -2))
-    rep = check_pure_h(Y, spec)
+    rep = check_theorem(Y, spec, "2.1")
     assert not rep.verdict and rep.witnesses
     for w in rep.witnesses:
         k = Y.n + w.indices[0] if w.condition == "a" else sum(w.indices)
@@ -41,9 +40,9 @@ def test_pure_h_rejects_cotangent_twist():
 
 
 def test_ohf_catalog_cases():
-    assert check_ohf(X12, SheafSpec.from_split([(0, 0), (0, 1), (1, -1)])).verdict
-    assert not check_ohf(X12, SheafSpec.from_split([(0, 2)])).verdict
-    assert check_ohf(X12, SheafSpec.from_split([(1, 0), (0, 0)])).verdict
+    assert check_theorem(X12, SheafSpec.from_split([(0, 0), (0, 1), (1, -1)]), "2.2").verdict
+    assert not check_theorem(X12, SheafSpec.from_split([(0, 2)]), "2.2").verdict
+    assert check_theorem(X12, SheafSpec.from_split([(1, 0), (0, 0)]), "2.2").verdict
 
 
 def test_ground_truth_classify():
@@ -57,14 +56,14 @@ def test_ground_truth_classify():
 
 def test_indecomposable_line_bundle_cases():
     for summands, case, conclusion in ([(0, 0)], "i", "O"), ([(0, 1)], "ii", "O(F)"), ([(1, -1)], "iii", "O(H-F)"):
-        rep = check_indecomposable(X12, SheafSpec.from_split(summands))
+        rep = check_theorem(X12, SheafSpec.from_split(summands), "2.3")
         assert rep.verdict and rep.reg.value == 0
         assert [(c.case, c.conclusion) for c in rep.fired] == [(case, conclusion)]
         assert rep.conclusion == conclusion
 
 
 def test_indecomposable_cotangent_case():
-    rep = check_indecomposable(Y, SheafSpec.from_omega(2, DivClass(3, -3)))
+    rep = check_theorem(Y, SheafSpec.from_omega(2, DivClass(3, -3)), "2.3")
     assert rep.reg.value == 0
     assert not rep.precondition_failures
     assert rep.verdict, [w.to_json() for w in rep.witnesses]
@@ -73,7 +72,7 @@ def test_indecomposable_cotangent_case():
 
 
 def test_indecomposable_reports_bad_reg():
-    rep = check_indecomposable(X12, SheafSpec.from_split([(-2, 0)]))
+    rep = check_theorem(X12, SheafSpec.from_split([(-2, 0)]), "2.3")
     assert not rep.verdict
     assert rep.reg.value == 2
     assert rep.precondition_failures
@@ -83,27 +82,27 @@ def test_rns_checkers_match_general():
     for x in (X12, X112):
         for summands in ([(0, 0)], [(0, 1)], [(1, -1), (2, 0)], [(0, 2)], [(-1, -1), (0, 0)]):
             e = SheafSpec.from_split(summands)
-            assert check_rns(x, e, "c2.5").verdict == check_pure_h(x, e).verdict
-            assert check_rns(x, e, "c2.6").verdict == check_ohf(x, e).verdict
-            g, r = check_indecomposable(x, e), check_rns(x, e, "c2.7")
+            assert check_theorem(x, e, "c2.5").verdict == check_theorem(x, e, "2.1").verdict
+            assert check_theorem(x, e, "c2.6").verdict == check_theorem(x, e, "2.2").verdict
+            g, r = check_theorem(x, e, "2.3"), check_theorem(x, e, "c2.7")
             assert g.verdict == r.verdict
             assert [(c.case, c.i) for c in g.fired] == [(c.case, c.i) for c in r.fired]
 
 
 def test_rns_examples():
     x = X112
-    assert check_rns(x, SheafSpec.from_split([(0, 0), (3, 0)]), "c2.5").verdict
-    assert not check_rns(x, SheafSpec.from_split([(1, -1)]), "c2.5").verdict
-    assert check_rns(x, SheafSpec.from_split([(1, -1)]), "c2.6").verdict
+    assert check_theorem(x, SheafSpec.from_split([(0, 0), (3, 0)]), "c2.5").verdict
+    assert not check_theorem(x, SheafSpec.from_split([(1, -1)]), "c2.5").verdict
+    assert check_theorem(x, SheafSpec.from_split([(1, -1)]), "c2.6").verdict
 
 
 def test_preconditions():
     with pytest.raises(ValueError):
-        check_pure_h(make_scroll(1, 1, [0, 2]), SheafSpec.from_split([(0, 0)]))
+        check_theorem(make_scroll(1, 1, [0, 2]), SheafSpec.from_split([(0, 0)]), "2.1")
     with pytest.raises(ValueError):
-        check_pure_h(make_scroll(0, 2, [1, 1, 1]), SheafSpec.from_split([(0, 0)]))
+        check_theorem(make_scroll(0, 2, [1, 1, 1]), SheafSpec.from_split([(0, 0)]), "2.1")
     with pytest.raises(ValueError):
-        check_rns(make_scroll(2, 1, [1, 3]), SheafSpec.from_split([(0, 0)]), "c2.5")
+        check_theorem(make_scroll(2, 1, [1, 3]), SheafSpec.from_split([(0, 0)]), "c2.5")
     with pytest.raises(ValueError):
         check_theorem(X12, SheafSpec.from_split([(0, 0)]), "9.9")
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,28 @@ def test_oversized_grid_rejected(tmp_path):
     family = {"m": [1], "n": [1], "a_min": 1, "a_max": 9}
     with pytest.raises(ValueError, match="over the"):
         run_sweep(family, ["cohom"], {"split": [[0, 0]]}, (-15, 15), (-15, 15), str(tmp_path))
+
+
+def test_oversized_grid_is_refused_before_it_is_built(tmp_path):
+    # 1,365 scrolls times 201 cohom cells: counted, not built
+    family = {"m": [1, 2, 3], "n": [1, 2, 3, 4], "a_min": 1, "a_max": 6}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="274365 cells"):
+            run_sweep(family, ["cohom", "reg"], {"split": [[0, 0]]}, (0, 199), (0, 0), str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_cells_skip_the_scroll_where_h_is_zero(tmp_path):
+    summary = run_sweep({"m": [1], "n": [0], "a_min": 0, "a_max": 1}, ["compare"], {"split": [[0, 0]]},
+                        (-1, 1), (-1, 1), str(tmp_path))
+    assert summary["cells"] == 1
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[1:5] for row in rows] == [["1", "0", "1", "compare"]]
 
 
 def test_torn_record_is_recomputed(tmp_path, capsys):
