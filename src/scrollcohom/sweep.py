@@ -56,10 +56,11 @@ def record_key(scroll: Scroll, op: str, inputs: dict) -> str:
 def enumerate_family(family: dict) -> list[Scroll]:
     """Family descriptor: {"m": [..], "n": [..], "a_min": lo, "a_max": hi}.
     Enumerates all scrolls with the given dimensions and nondecreasing
-    twists in [a_min, a_max]."""
+    twists in [a_min, a_max], each once: a repeated m or n entry counts at
+    its first place."""
     try:
-        ms = [json_int(v, "family 'm' entry") for v in family["m"]]
-        ns = [json_int(v, "family 'n' entry") for v in family["n"]]
+        ms = dict.fromkeys(json_int(v, "family 'm' entry") for v in family["m"])
+        ns = dict.fromkeys(json_int(v, "family 'n' entry") for v in family["n"])
         lo, hi = json_int(family["a_min"], "family 'a_min'"), json_int(family["a_max"], "family 'a_max'")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"family descriptor must look like {{'m':[1],'n':[1,2],'a_min':1,'a_max':3}}: {exc}")
@@ -89,9 +90,11 @@ def _run_op(scroll: Scroll, op: str, inputs: dict) -> dict:
 
 def _cells(scrolls, ops, sheaf_json, pbox, qbox):
     """The grid as (scroll, scroll JSON, op, inputs, inputs JSON, op JSON) tuples,
-    in canonical JSON; an op's inputs are built and encoded once for all scrolls,
+    in canonical JSON, each cell once (a repeated op counts at its first place);
+    an op's inputs are built and encoded once for all scrolls,
     and the cells are counted, and too many refused, before the grid is built."""
-    todo = [(scroll, op) for scroll in scrolls for op in ops if op != "compare" or ms_implies_pq(scroll)]
+    todo = [(scroll, op) for scroll in scrolls for op in dict.fromkeys(ops)
+            if op != "compare" or ms_implies_pq(scroll)]
     grid: dict[str, list] = {}
     for op in dict.fromkeys(op for _, op in todo):
         if op == "cohom":
@@ -169,7 +172,6 @@ def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | No
                        "wall_ms": round(1000 * (time.perf_counter() - t0), 3)}
                 line = _canon(rec)
                 fh.write(line + "\n")
-                stored[key].append(line)  # a repeated cell is served from it
                 fresh += 1
             rows.append((scroll_s, op, inputs_s, scroll, key, rec["result"]))
 

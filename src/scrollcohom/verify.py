@@ -6,7 +6,8 @@ property.  The CLI `verify` subcommand drives these; the test suite runs
 the same checks (and the acceptance tests run larger boxes).
 
 The reference formulas the tests share live here under public names
-(:func:`bott_h`, :func:`classical_pn_regular`, :func:`regular_split_samples`).
+(:func:`bott_h`, :func:`classical_pn_regular`, :func:`hook_twists`,
+:func:`regular_split_samples`).
 No production module imports this one.
 """
 
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 from .characters import character_cohom, mult_map_rank
 from .cohomology import (SplitBundle, bundle_cohom, choose, euler_char, is_globally_generated,
-                         line_cohom, omega_cohom, sym_twists, zero_table)
+                         line_cohom, omega_cohom, subset_sums, sym_twists, zero_table)
 from .complexes import (_contributing_keys, cotangent_resolution_left, cotangent_resolution_right,
                         euler_complex, exterior_complex, hypercohom, koszul_pullback,
                         koszul_pullback_spliced, per_key_dims, single_term_complex,
@@ -94,6 +95,19 @@ def suite_scroll() -> list[CheckResult]:
 
 # -- closed forms ----------------------------------------------------------
 
+def hook_twists(x: Scroll, i: int, p: int) -> dict[int, int]:
+    """Twist histogram of pi_* Omega^i(pH) for p > i, written out as the
+    alternating sum sum_{s<=i} (-1)^{i-s} Lambda^s(V) (x) Sym^{p-s}(V): a
+    dict convolution of :func:`subset_sums` with :func:`sym_twists`."""
+    hist: dict[int, int] = {}
+    for s in range(i + 1):
+        sign = -1 if (i - s) % 2 else 1
+        for u, cu in subset_sums(x)[s]:
+            for v, cv in sym_twists(x, p - s):
+                hist[u + v] = hist.get(u + v, 0) + sign * cu * cv
+    return hist
+
+
 def suite_closed_form() -> list[CheckResult]:
     out = []
     bad = []
@@ -142,6 +156,29 @@ def suite_closed_form() -> list[CheckResult]:
                 if chi != poly:
                     bad.append((x, (p, q), chi, poly))
     out.append(_result("closed-form", "euler-characteristic-polynomial", bad))
+
+    def expanded(x: Scroll, hist, q: int) -> tuple[int, ...]:
+        # each term's C(t+q+m, m) goes to h^0 for t + q >= 0 and, times
+        # (-1)^m, to h^m below (it vanishes in between)
+        table = list(zero_table(x))
+        for t, mult in hist:
+            val = mult * gen_binom(t + q + x.m, x.m)
+            if t + q >= 0:
+                table[0] += val
+            else:
+                table[x.m] += (-1) ** x.m * val
+        return tuple(table)
+
+    bad = []
+    for x in FAMILY:
+        for q in range(-30, 31):
+            for p in range(0, 13):
+                if line_cohom(x, DivClass(p, q)) != expanded(x, sym_twists(x, p), q):
+                    bad.append((x, "line", (p, q)))
+                for i in range(1, min(p, x.n + 1)):
+                    if omega_cohom(x, i, DivClass(p, q)) != expanded(x, hook_twists(x, i, p).items(), q):
+                        bad.append((x, f"omega^{i}", (p, q)))
+    out.append(_result("closed-form", "packed-sum-matches-histogram", bad))
 
     bad = []
     for x in FAMILY:

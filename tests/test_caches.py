@@ -18,8 +18,8 @@ def _cached_functions():
 
 def test_every_lru_cache_is_bounded():
     found = dict(_cached_functions())
-    assert {"cohomology.line_cohom", "sheaves.sheaf_cohom", "characters._character_counts",
-            "windows.omega_h_intervals", "cli.build_parser"} <= set(found)
+    assert {"cohomology.line_cohom", "cohomology._sym_row", "sheaves.sheaf_cohom",
+            "characters._character_counts", "windows.omega_h_intervals", "cli.build_parser"} <= set(found)
     unbounded = [name for name, fn in found.items() if fn.cache_parameters()["maxsize"] is None]
     assert not unbounded
 

@@ -258,6 +258,16 @@ def test_wide_table_is_refused_by_bytes(capsys):
     assert err.startswith("error: ") and "budget" in err
 
 
+def test_row_wide_enough_for_the_base_sum_is_refused(capsys):
+    # Sym^5000 on O(1)+O(2): 5001^2 cells.  Its counts fit in 2-byte fields
+    # (50,020,002 B, under the budget), but the m+1 rounds of sums over P^1
+    # reach 5001^2 and need 4-byte fields (100,040,004 B)
+    code, out, err = run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", O, "--twist=5000,0")
+    assert code == 1 and out == ""
+    assert err == ("error: Sym^5000 on this scroll needs at least 100040004 table bytes, "
+                   "over the budget of 60000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--scroll", SCROLL, "--twist=100000,0"],
     ["oracle", "--scroll", SCROLL, "--twist=100000,0", "--row", "0"],

@@ -10,6 +10,7 @@ from scrollcohom import cohomology
 from scrollcohom.characters import weak_compositions
 from scrollcohom.cohomology import choose
 from scrollcohom.complexes import cotangent_resolution_left, cotangent_resolution_right, hypercohom
+from scrollcohom.verify import hook_twists
 
 X12 = make_scroll(1, 1, [1, 2])
 F2 = make_scroll(1, 1, [0, 2])
@@ -132,19 +133,64 @@ def test_line_cohom_matches_pm_cohom_sum(x):
             assert line_cohom(x, d) == _line_by_pm_cohom(x, d), (x, d)
 
 
+def _omega_by_pm_cohom(x, i, d):
+    # the hook histogram (a dict convolution) summed term by term with pm_cohom
+    table = [0] * (x.dim + 1)
+    for t, mult in hook_twists(x, i, d.p).items():
+        h0, hm = pm_cohom(x.m, t + d.q)
+        table[0] += mult * h0
+        table[x.m] += mult * hm
+    return tuple(table)
+
+
+@st.composite
+def band_edge_queries(draw):
+    # q within 3 of an edge of the band where the pushforward's twists
+    # change sign: p*a_0 + q = -m-1 (h^m starts) or p*a_n + q = 0 (h^0 starts)
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0 if m else 1, 4))
+    x = make_scroll(m, n, draw(st.lists(st.integers(-4, 5), min_size=n + 1, max_size=n + 1)))
+    p = draw(st.integers(0, 60))
+    edge = draw(st.sampled_from((-p * x.a[0] - m - 1, -p * x.a[-1])))
+    return x, p, edge + draw(st.integers(-3, 3)), draw(st.integers(0, n)), draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(query=band_edge_queries())
+@example(query=(make_scroll(0, 2, [-1, 0, 3]), 40, 3, 2, True))  # m = 0, negative twist
+@example(query=(make_scroll(1, 1, [2, 2]), 255, -512, 1, False))  # a count of 256, past one byte
+@example(query=(make_scroll(2, 1, [3, 3]), 2**16, -3 * 2**16 - 3, 1, True))  # past two bytes
+@example(query=(make_scroll(1, 6, [1] * 7), 100, -102, 3, False))  # C(106, 6) > 2^30
+@example(query=(make_scroll(3, 4, [-4, -1, 0, 2, 5]), 60, -62, 4, True))  # sums past four bytes
+def test_packed_sums_match_written_out_references(query):
+    # the packed kernel against the histograms summed term by term, on
+    # both sides of each band edge and on the Serre-dual side
+    x, p, q, i, dual = query
+    d = DivClass(-p - x.n - 1, x.c - q - 1 - x.m) if dual else DivClass(p, q)
+    assert line_cohom(x, d) == _line_by_pm_cohom(x, d)
+    if 0 < i < p:
+        assert omega_cohom(x, i, DivClass(p, q)) == _omega_by_pm_cohom(x, i, DivClass(p, q))
+
+
 def test_second_routes_skip_the_base_sum(monkeypatch):
-    # the character oracle and hypercohomology check line_cohom, so neither
-    # may share its histogram sum
+    # the character oracle and hypercohomology check line_cohom and
+    # omega_cohom, so neither may share their packed-row sum
     from scrollcohom.characters import character_cohom
     from scrollcohom.complexes import single_term_complex
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a second route reached cohomology._base_sum")
+        raise AssertionError("a second route reached cohomology._packed_base_sum")
 
-    monkeypatch.setattr(cohomology, "_base_sum", forbidden)
+    monkeypatch.setattr(cohomology, "_packed_base_sum", forbidden)
     for p in (-4, -1, 0, 2):
         d = DivClass(p, 1)
         assert character_cohom(X12, d) == hypercohom(X12, single_term_complex(X12, d))
+    for i in (0, 1):
+        t = DivClass(3, -2)
+        assert (hypercohom(X12, cotangent_resolution_left(X12, i).twist(t))
+                == hypercohom(X12, cotangent_resolution_right(X12, i).twist(t)))
+    with pytest.raises(AssertionError, match="second route"):
+        line_cohom.__wrapped__(X12, DivClass(2, 1))
 
 
 def test_line_cohom_frozen_values():

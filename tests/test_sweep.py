@@ -37,6 +37,18 @@ def test_sweep_persists_and_caches(tmp_path):
     assert (tmp_path / "summary.csv").read_text().startswith("# schema=scrollcohom-sweep-v1")
 
 
+def test_repeated_ops_and_family_entries_run_once(tmp_path):
+    # an op or a family entry given twice is one cell: one record, one CSV row
+    out = run_sweep({"m": [1, 1], "n": [1], "a_min": 1, "a_max": 1}, ["reg", "reg"], {"split": [[0, 0]]},
+                    (0, 0), (0, 0), str(tmp_path))
+    assert (out["cells"], out["fresh"], out["cached"]) == (1, 1, 0)
+    assert len((tmp_path / "records.jsonl").read_text().splitlines()) == 1
+    assert len((tmp_path / "summary.csv").read_text().splitlines()) == 3  # comment, header, one row
+    # repeats keep the order of first appearance
+    family = {"m": [2, 1, 2], "n": [1, 0, 1], "a_min": 0, "a_max": 0}
+    assert [(x.m, x.n) for x in enumerate_family(family)] == [(2, 1), (2, 0), (1, 1), (1, 0)]
+
+
 def test_sweep_includes_hirzebruch_separation(tmp_path):
     family = {"m": [1], "n": [1], "a_min": 0, "a_max": 2}
     run_sweep(family, ["compare"], {"split": [[0, 0]]}, (-1, 1), (-1, 1), str(tmp_path))
