@@ -39,18 +39,20 @@ def check_box(pbox, qbox):
         raise ValueError(f"the (p,q) box holds {twists} twists, over the {MAX_CELLS} limit; shrink the box")
 
 
-def _canon(obj) -> str:
+def canon_json(obj) -> str:
+    """Canonical JSON, sorted keys and no spaces: every record, key and CLI payload."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _key(engine: str, inputs: str, op: str, schema: str, scroll: str) -> str:
-    """The record key from each field's canonical JSON, laid out as _canon lays out the whole."""
+    """The record key from each field's canonical JSON, laid out as canon_json lays out the whole."""
     return hashlib.sha256(f'{{"engine":{engine},"inputs":{inputs},"op":{op},"schema":{schema},'
                           f'"scroll":{scroll}}}'.encode()).hexdigest()
 
 
 def record_key(scroll: Scroll, op: str, inputs: dict) -> str:
-    return _key(_canon(ENGINE_TAG), _canon(inputs), _canon(op), _canon(CSV_SCHEMA), _canon(scroll.to_json()))
+    return _key(canon_json(ENGINE_TAG), canon_json(inputs), canon_json(op), canon_json(CSV_SCHEMA),
+                canon_json(scroll.to_json()))
 
 
 def enumerate_family(family: dict) -> list[Scroll]:
@@ -76,8 +78,7 @@ def enumerate_family(family: dict) -> list[Scroll]:
     return out
 
 
-def _run_op(scroll: Scroll, op: str, inputs: dict) -> dict:
-    spec = SheafSpec.from_json(inputs["sheaf"])
+def _run_op(scroll: Scroll, op: str, inputs: dict, spec: SheafSpec) -> dict:
     if op == "cohom":
         t = DivClass.from_json(inputs["twist"])
         return {"h": list(sheaf_cohom(scroll, spec, t))}
@@ -108,11 +109,11 @@ def _cells(scrolls, ops, sheaf_json, pbox, qbox):
             inputs = [{"sheaf": sheaf_json, "pbox": list(pbox), "qbox": list(qbox)}]
         else:
             raise ValueError(f"unknown sweep op {op!r}; expected one of {OPS}")
-        grid[op] = [(i, _canon(i), _canon(op)) for i in inputs]
+        grid[op] = [(i, canon_json(i), canon_json(op)) for i in inputs]
     total = sum(len(grid[op]) for _, op in todo)
     if total > MAX_CELLS:
         raise ValueError(f"sweep grid has {total} cells, over the {MAX_CELLS} limit; shrink the boxes")
-    scroll_s = {scroll: _canon(scroll.to_json()) for scroll in scrolls}
+    scroll_s = {scroll: canon_json(scroll.to_json()) for scroll in scrolls}
     return [(scroll, scroll_s[scroll], op) + entry for scroll, op in todo for entry in grid[op]]
 
 
@@ -143,13 +144,14 @@ def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | No
     (argument, else $SCROLLCOHOM_CACHE, else ./scrollcohom-sweep)."""
     scrolls = enumerate_family(family)
     cells = _cells(scrolls, ops, sheaf_json, pbox, qbox)
+    spec = SheafSpec.from_json(sheaf_json)  # refused before the store is touched
 
     out = Path(out_dir or os.environ.get(CACHE_ENV) or "scrollcohom-sweep")
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.jsonl"
     csv_path = out / "summary.csv"
 
-    engine, schema = _canon(ENGINE_TAG), _canon(CSV_SCHEMA)
+    engine, schema = canon_json(ENGINE_TAG), canon_json(CSV_SCHEMA)
     keys = [_key(engine, inputs_s, op_s, schema, scroll_s) for _, scroll_s, _, _, inputs_s, op_s in cells]
     stored: dict[str, list[str]] = {key: [] for key in keys}
     text = records_path.read_text() if records_path.exists() else ""
@@ -166,11 +168,11 @@ def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | No
             rec = _stored(stored[key], key, scroll, op, inputs)
             if rec is None:
                 t0 = time.perf_counter()
-                result = _run_op(scroll, op, inputs)
+                result = _run_op(scroll, op, inputs, spec)
                 rec = {"key": key, "scroll": scroll.to_json(), "op": op, "inputs": inputs,
                        "result": result, "engine": ENGINE_TAG,
                        "wall_ms": round(1000 * (time.perf_counter() - t0), 3)}
-                line = _canon(rec)
+                line = canon_json(rec)
                 fh.write(line + "\n")
                 fresh += 1
             rows.append((scroll_s, op, inputs_s, scroll, key, rec["result"]))

@@ -92,9 +92,13 @@ def omega_h_intervals(x: Scroll, i: int, k: int, q: int) -> tuple:
 def h_intervals(x: Scroll, spec: SheafSpec, k: int, dp: int, dq: int) -> list:
     """The t with h^k(spec<t + dp, dq>) != 0, exactly, as a list of
     intervals: the pieces of :func:`omega_h_intervals` with i = 0 for each
-    summand of a split sheaf, and with spec's i for Omega^i(T)."""
+    summand of a split sheaf, and with spec's i for Omega^i(T).  Omega^n(T)
+    with n > 0 is the line bundle O(T - (n+1)H + cF) and is read as one, so
+    every spelling of a line bundle gets the same pieces."""
     if spec.kind == "split":
         pairs = [(0, s) for s in spec.split.summands]
+    elif spec.omega_i == x.n > 0:
+        pairs = [(0, spec.omega_twist + DivClass(-(x.n + 1), x.c))]
     else:
         pairs = [(spec.omega_i, spec.omega_twist)]
     return [(lo - t.p - dp, hi - t.p - dp) for i, t in pairs

@@ -182,9 +182,11 @@ def test_verify_single_suite(capsys):
      "split sheaves only"),
     (["verify", "--suite", "nope"], 2, "unknown suite 'nope'"),
     (["sweep", "--family", '{"m":[1],"n":[1],"a_min":1,"a_max":2}', "--ops", "nope"], 2, "unknown op 'nope'"),
+    (["sweep", "--family", '{"m":[1],"n":[1],"a_min":1,"a_max":2}', "--ops", "reg", "--sheaf", '{"bad":1}'], 1,
+     "sheaf descriptor must look like"),
 ], ids=["reg-scan", "compare-pbox", "compare-qbox", "table-pbox", "sweep-pbox", "sweep-family",
         "omega-index-high", "omega-index-low", "rns-form-m2", "compare-h-zero", "twist", "oracle-omega",
-        "verify-suite", "sweep-op"])
+        "verify-suite", "sweep-op", "sweep-sheaf"])
 def test_reversed_range_is_an_error(capsys, tmp_path, argv, code, says):
     out_dir = tmp_path / "out"
     if argv[0] == "sweep":
@@ -193,6 +195,47 @@ def test_reversed_range_is_an_error(capsys, tmp_path, argv, code, says):
     assert (got, out) == (code, "")
     assert err.startswith("usage error: " if code == 2 else "error: ") and says in err
     assert not out_dir.exists()
+
+
+# per subcommand: its own arguments, the same with one of them malformed
+# (None: nothing of its own to malform), and the message that one gives
+OWN_ARGS = {
+    "cohom": ([], ["--twist=a,b"], "--twist must look like"),
+    "table": (["--pbox=0:1", "--qbox=0:0"], ["--pbox=x", "--qbox=0:0"], "--pbox must look like"),
+    "reg": ([], ["--scan=x"], "--scan must look like"),
+    "pqreg": (["--at=0,0"], ["--at=x"], "--at must look like"),
+    "msreg": (["--at=0,0"], ["--at=x"], "--at must look like"),
+    "compare": (["--pbox=0:1", "--qbox=0:0"], ["--pbox=0:1", "--qbox=x"], "--qbox must look like"),
+    "split": (["--theorem", "2.1"], None, None),
+    "oracle": (["--twist=0,0"], ["--twist=x"], "--twist must look like"),
+}
+
+
+@pytest.mark.parametrize("command", OWN_ARGS)
+def test_shared_arguments_are_read_scroll_then_sheaf_then_own(capsys, command):
+    own, bad_own, says = OWN_ARGS[command]
+    has_sheaf = command != "oracle"
+
+    def argv(scroll, sheaf):
+        return [command, "--scroll", scroll] + (["--sheaf", sheaf] if has_sheaf else []) + (bad_own or own)
+
+    cases = [(argv("oops", "oops"), "malformed JSON for --scroll")]
+    if has_sheaf:
+        cases.append((argv(SCROLL, "oops"), "malformed JSON for --sheaf"))
+    if bad_own:
+        cases.append((argv(SCROLL, O), says))
+    for args, message in cases:
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "") and err.startswith("usage error: ") and message in err
+
+
+@pytest.mark.parametrize("command", list(OWN_ARGS) + ["verify", "sweep"])
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith(f"usage: scrollcohom {command} ")
+    assert ('"m":1,"n":1,"a":[1,2]' in out) == (command in OWN_ARGS)
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -176,7 +176,7 @@ def test_only_demanded_lines_are_parsed(tmp_path, monkeypatch):
     csv_first = (tmp_path / "summary.csv").read_bytes()
     template = _store(tmp_path)[0]
     unrelated = [dict(template, key=hashlib.sha256(str(i).encode()).hexdigest()) for i in range(1000)]
-    _append(tmp_path, *(sweep._canon(rec) + "\n" for rec in unrelated))
+    _append(tmp_path, *(sweep.canon_json(rec) + "\n" for rec in unrelated))
     parsed, real_loads = [], json.loads
 
     def spy(text, *args, **kwargs):
@@ -206,7 +206,7 @@ def test_key_inside_the_inputs_does_not_hide_the_record(tmp_path):
 
 
 def _edited(rec, **fields):
-    return sweep._canon(dict(rec, **fields)) + "\n"
+    return sweep.canon_json(dict(rec, **fields)) + "\n"
 
 
 def test_later_valid_line_wins(tmp_path):

@@ -158,14 +158,16 @@ def test_h_intervals_shift_by_twist_and_condition():
 
 @pytest.mark.parametrize("twist", [(0, 0), (-2, 2), (1, 2), (0, -3), (2, -1)], ids=str)
 def test_omega_zero_window_is_the_line_bundle_window(twist):
-    # Omega^0(T) is the line bundle O(T): one interval function gives both
-    # spellings the same intervals, so the same window.  (Their duals are
-    # spelled Omega^n and O(-T), so only conditions on E itself compare.)
+    # Omega^0(T) is the line bundle O(T), and so is Omega^n(T + (n+1)H - cF):
+    # one interval function gives all three spellings, and their duals, the
+    # same intervals, so the same window.
     from scrollcohom.splitting import indecomposable_hypotheses
     from scrollcohom.windows import window_pass
 
     for x in (X12, make_scroll(2, 2, [1, 1, 2]), make_scroll(1, 2, [1, 2, 3])):
-        omega, line = SheafSpec.from_omega(0, DivClass(*twist)), SheafSpec.from_split([twist])
+        line = SheafSpec.from_split([twist])
+        spellings = (SheafSpec.from_omega(0, DivClass(*twist)),
+                     SheafSpec.from_omega(x.n, DivClass(*twist) + DivClass(x.n + 1, -x.c)))
         for conds in (pure_h_conditions(x), ohf_conditions(x), indecomposable_hypotheses(x)):
-            conds = [c for c in conds if not c.dual]
-            assert window_pass(x, omega, conds) == window_pass(x, line, conds)
+            for omega in spellings:
+                assert window_pass(x, omega, conds) == window_pass(x, line, conds)
