@@ -20,7 +20,7 @@ from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec, sheaf_cohom
 from .splitting import THEOREM_IDS, check_theorem
 from .sweep import OPS as SWEEP_OPS
-from .sweep import canon_json, check_box, run_sweep
+from .sweep import canon_json, check_box, check_ops, run_sweep
 
 
 class UsageError(ValueError):
@@ -121,9 +121,10 @@ def _cmd_sweep(args, x, spec):
     family = _json_arg(args.family, "--family")
     sheaf = _json_arg(args.sheaf, "--sheaf") if args.sheaf else {"split": [[0, 0]]}
     ops = args.ops.split(",")
-    for op in ops:
-        if op not in SWEEP_OPS:
-            raise UsageError(f"unknown op {op!r}; choose from {', '.join(SWEEP_OPS)}")
+    try:
+        check_ops(ops)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     return run_sweep(family, ops, sheaf, _range(args.pbox, "--pbox"), _range(args.qbox, "--qbox"), args.out)
 
 
@@ -158,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fmt", choices=("csv", "json"), default="csv")
 
     p = add("reg", _cmd_reg, "least p with the sheaf (p,0)-regular", sheaf_arg)
-    p.add_argument("--scan", help="lo:hi, check every p of it pointwise instead of the exact intervals")
+    p.add_argument("--scan", help="lo:hi, Reg within this range, read off the same exact intervals")
 
     for name, report, help_text in (("pqreg", is_pq_regular, "(p,q)-regularity report at a point"),
                                     ("msreg", is_ms_regular, "multigraded regularity report at a point")):

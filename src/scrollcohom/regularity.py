@@ -10,10 +10,10 @@ For m = 0 this is the classical notion on projective space, and for n = 0 a
 regularity over Veronese embeddings.  Reg(E) is the least p with E
 (r,0)-regular for every r >= p.  On every scroll the p where E is not
 (p,0)-regular are the union of the conditions' exact nonvanishing
-intervals, so Reg is one more than its supremum, and whether regular
-twists form an up-set (always so on positive scrolls, where regularity is
-preserved by nonnegative twists) is read off the same union.  A compare
-grid is decided the same way, row q by row q.
+intervals, clipped to a scan range if one is given, so Reg is one more than
+its supremum, and whether regular twists form an up-set (always so on
+positive scrolls, where regularity is preserved by nonnegative twists) is
+read off the same union.  A compare grid is decided so too, row q by row q.
 
 The multigraded notion with respect to the nef pair {H, F} asks instead for
 h^{i+j}(E(P)<-i, -j>) = 0 for all i, j >= 0 with (i,j) != (0,0); degrees
@@ -150,44 +150,28 @@ def _failing(x: Scroll, spec: SheafSpec, conds, q: int) -> list:
 def reg_detail(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) -> RegResult:
     """Reg(E): the least p with E (r,0)-regular for every r >= p.
 
-    Without a scan range this is exact on every scroll.  The p where E is
-    not (p,0)-regular are exactly the union U of the pq-conditions'
-    intervals (:func:`scrollcohom.windows.h_intervals`), so Reg is one more
-    than sup U and ``scan`` is [Reg-1, Reg].  ``monotone_verified`` says
-    whether U is a down-set, i.e. the regular p form an up-set (always so on
-    a positive scroll).  Reg is None, with ``scan`` (0, 0), in two cases:
-    U empty (flag ``no-condition-can-fail``) and U unbounded above (flag
-    ``irregular-for-all-large-p``).
-
-    With an explicit scan range every p in it is checked pointwise: Reg is
-    the least p of the range with every later p of the range regular.
+    Exact on every scroll, within a scan range [lo, hi] or all of Z.  The p
+    where E is not (p,0)-regular are the union U of the pq-conditions'
+    intervals (:func:`scrollcohom.windows.h_intervals`) clipped to the range,
+    so the work does not grow with it.  Reg is lo when U is empty, None when
+    U reaches hi, else 1 + sup U; ``monotone_verified`` says whether U is a
+    down-set of the range (always so on a positive scroll).  ``scan`` is the
+    range (flag ``explicit-scan``), else [Reg-1, Reg], or (0, 0) when Reg is
+    None (flag ``no-condition-can-fail`` or ``irregular-for-all-large-p``).
     """
-    if scan is None:
-        bad = _failing(x, spec, pq_conditions(x), 0)
-        if not bad:
-            return RegResult(None, True, (0, 0), ("no-condition-can-fail",))
-        monotone = len(bad) == 1 and bad[0][0] == -INF
-        if bad[-1][1] == INF:
-            return RegResult(None, monotone, (0, 0), ("irregular-for-all-large-p",))
-        value = int(bad[-1][1]) + 1
+    lo, hi = scan or (-INF, INF)
+    bad = [(max(a, lo), min(b, hi)) for a, b in _failing(x, spec, pq_conditions(x), 0) if a <= hi and b >= lo]
+    monotone = all(a == lo for a, _ in bad)
+    value = lo if not bad else None if bad[-1][1] == hi else int(bad[-1][1]) + 1
+    if scan is not None:
+        return RegResult(value, monotone, (lo, hi), ("explicit-scan",))
+    if bad and value is not None:
         return RegResult(value, monotone, (value - 1, value))
-    lo, hi = scan
-    verdicts = {p: is_pq_regular(x, spec, p, 0).verdict for p in range(lo, hi + 1)}
-    value = None
-    for p in range(lo, hi + 1):
-        if verdicts[p] and all(verdicts[r] for r in range(p, hi + 1)):
-            value = p
-            break
-    monotone = all(verdicts[p + 1] for p in range(lo, hi) if verdicts[p])
-    return RegResult(value, monotone, (lo, hi), ("explicit-scan",))
+    return RegResult(None, monotone, (0, 0), ("irregular-for-all-large-p" if bad else "no-condition-can-fail",))
 
 
 def reg(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) -> int | None:
-    """Reg(E) as a bare integer, the value of :func:`reg_detail`: one more
-    than the largest p where E is not (p,0)-regular, or None when no
-    condition can fail or when E is irregular for arbitrarily large p (flag
-    ``irregular-for-all-large-p``).  Whether the regular p form an up-set
-    is ``reg_detail(...).monotone_verified``."""
+    """Reg(E) as a bare integer: the value of :func:`reg_detail`."""
     return reg_detail(x, spec, scan).value
 
 

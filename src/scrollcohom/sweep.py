@@ -39,6 +39,13 @@ def check_box(pbox, qbox):
         raise ValueError(f"the (p,q) box holds {twists} twists, over the {MAX_CELLS} limit; shrink the box")
 
 
+def check_ops(ops):
+    """Refuse an op outside OPS, before any cell is built or stored."""
+    for op in ops:
+        if op not in OPS:
+            raise ValueError(f"unknown op {op!r}; choose from {', '.join(OPS)}")
+
+
 def canon_json(obj) -> str:
     """Canonical JSON, sorted keys and no spaces: every record, key and CLI payload."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -104,11 +111,9 @@ def _cells(scrolls, ops, sheaf_json, pbox, qbox):
                       for p in range(pbox[0], pbox[1] + 1) for q in range(qbox[0], qbox[1] + 1)]
         elif op == "reg":
             inputs = [{"sheaf": sheaf_json}]
-        elif op == "compare":
+        else:
             check_box(pbox, qbox)
             inputs = [{"sheaf": sheaf_json, "pbox": list(pbox), "qbox": list(qbox)}]
-        else:
-            raise ValueError(f"unknown sweep op {op!r}; expected one of {OPS}")
         grid[op] = [(i, canon_json(i), canon_json(op)) for i in inputs]
     total = sum(len(grid[op]) for _, op in todo)
     if total > MAX_CELLS:
@@ -142,6 +147,7 @@ def run_sweep(family: dict, ops, sheaf_json: dict, pbox, qbox, out_dir: str | No
     """Run the requested operations over the family grid.  Returns a summary
     dict; persists records.jsonl and summary.csv under the output directory
     (argument, else $SCROLLCOHOM_CACHE, else ./scrollcohom-sweep)."""
+    check_ops(ops)
     scrolls = enumerate_family(family)
     cells = _cells(scrolls, ops, sheaf_json, pbox, qbox)
     spec = SheafSpec.from_json(sheaf_json)  # refused before the store is touched

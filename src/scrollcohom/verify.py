@@ -7,7 +7,7 @@ the same checks (and the acceptance tests run larger boxes).
 
 The reference formulas the tests share live here under public names
 (:func:`bott_h`, :func:`classical_pn_regular`, :func:`hook_twists`,
-:func:`regular_split_samples`).
+:func:`pointwise_reg`, :func:`regular_split_samples`).
 No production module imports this one.
 """
 
@@ -463,6 +463,15 @@ def classical_pn_regular(n: int, twists, p: int) -> bool:
     return all(_pn_h(n, i, d + p - i) == 0 for d in twists for i in range(1, n + 1))
 
 
+def pointwise_reg(x: Scroll, spec: SheafSpec, lo: int, hi: int) -> tuple[int | None, bool]:
+    """Reg over [lo, hi] from :func:`is_pq_regular` at every p of it, and whether
+    the regular p form an up-set of the range: the reference for ``reg_detail``
+    with a scan range.  Reg is one more than the last irregular p, None when that is hi."""
+    verdicts = {p: is_pq_regular(x, spec, p, 0).verdict for p in range(lo, hi + 1)}
+    last_bad = max((p for p, ok in verdicts.items() if not ok), default=lo - 1)
+    return (last_bad + 1 if last_bad < hi else None), all(verdicts[p + 1] for p in range(lo, hi) if verdicts[p])
+
+
 def suite_regularity() -> list[CheckResult]:
     out = []
     bad = []
@@ -518,15 +527,14 @@ def suite_regularity() -> list[CheckResult]:
     out.append(_result("regularity", "regular-implies-pq-regular", bad))
 
     bad = []
-    for x in POSITIVE_FAMILY:
+    for x in FAMILY:
         for summands in ([(0, 0)], [(0, 1)], [(1, -1)], [(-2, 0)], [(0, -1)], [(1, 1), (0, 0)]):
             e = SheafSpec.from_split(summands)
-            res = reg_detail(x, e)
-            lo, hi = res.scan
-            regs = [p for p in range(lo, hi + 1)]
-            for p in regs:
-                if is_pq_regular(x, e, p, 0).verdict and not is_pq_regular(x, e, p + 1, 0).verdict:
-                    bad.append((x, e.describe(), p))
+            v = reg_detail(x, e).value
+            lo, hi = (v or 0) - x.dim - 3, (v or 0) + x.dim + 3
+            res, want = reg_detail(x, e, (lo, hi)), pointwise_reg(x, e, lo, hi)
+            if (res.value, res.monotone_verified) != want or (v is not None and v != want[0]):
+                bad.append((x, e.describe(), (lo, hi), res, want))
     out.append(_result("regularity", "scan-monotonicity", bad))
 
     bad = []

@@ -291,6 +291,19 @@ def test_oversized_twist_is_refused_quickly(capsys, sheaf, twist):
     assert err.startswith("error: ") and "budget" in err
 
 
+@pytest.mark.parametrize("scan, want", [
+    ("-1000000000:1000000000",
+     '{"flags":["explicit-scan"],"monotone_verified":true,"reg":0,"scan":[-1000000000,1000000000]}'),
+    ("-200:300000", '{"flags":["explicit-scan"],"monotone_verified":true,"reg":0,"scan":[-200,300000]}'),
+], ids=["two-billion-wide", "past-the-sym-budget"])
+def test_wide_scan_is_answered_quickly(capsys, scan, want):
+    # a scan range only clips the exact intervals, so its width costs nothing
+    t0 = time.process_time()
+    got = run(capsys, "reg", "--scroll", SCROLL, "--sheaf", O, f"--scan={scan}")
+    assert time.process_time() - t0 < 0.1
+    assert got == (0, want + "\n", "")
+
+
 def test_wide_table_is_refused_by_bytes(capsys):
     # Sym^3000 at n = 24 with a_n - a_0 = 1: 9*10^6 cells of 25-byte fields
     scroll = json.dumps({"m": 1, "n": 24, "a": [1] * 24 + [2]})

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scrollcohom import (DivClass, SheafSpec, compare_regularities, is_ms_regular, is_pq_regular,
                          make_scroll, reg, reg_detail, rns_is_pq_regular)
 from scrollcohom.regularity import _failing, ms_implies_pq, pq_conditions
-from scrollcohom.verify import classical_pn_regular
+from scrollcohom.verify import classical_pn_regular, pointwise_reg
 from scrollcohom.windows import INF
 
 X12 = make_scroll(1, 1, [1, 2])
@@ -156,8 +156,7 @@ def test_reg_matches_explicit_scan_oracle():
             res = reg_detail(x, spec)
             v = res.value
             assert res.monotone_verified and res.scan == (v - 1, v) and not res.flags
-            oracle = reg_detail(x, spec, (v - x.dim - 3, v + x.dim + 3))
-            assert oracle.monotone_verified and oracle.value == v, (x, spec.describe())
+            assert pointwise_reg(x, spec, v - x.dim - 3, v + x.dim + 3) == (v, True), (x, spec.describe())
 
 
 def test_reg_detail_makes_no_regularity_scan(monkeypatch):
@@ -171,6 +170,21 @@ def test_reg_detail_makes_no_regularity_scan(monkeypatch):
     for x in REG_SCROLLS:
         for spec in _reg_specs(x):
             assert reg_detail(x, spec).value is not None
+
+
+def test_explicit_scan_makes_no_regularity_scan(monkeypatch):
+    # a scan range only clips the intervals, so its width costs nothing
+    from scrollcohom import regularity
+
+    def refuse(*args):
+        raise AssertionError("reg_detail evaluated a condition pointwise")
+
+    monkeypatch.setattr(regularity, "is_pq_regular", refuse)
+    monkeypatch.setattr(regularity, "sheaf_h", refuse)
+    for x in REG_SCROLLS + (F2,):
+        for spec in _reg_specs(x):
+            res = reg_detail(x, spec, (-10**9, 10**9))
+            assert (res.value, res.scan, res.flags) == (reg(x, spec), (-10**9, 10**9), ("explicit-scan",))
 
 
 def _sheaf(draw, n):
@@ -218,9 +232,42 @@ def test_reg_exact_matches_wide_scan_on_non_positive(case):
     ends = [e for iv in _failing(x, spec, pq_conditions(x), 0) for e in iv if abs(e) != INF]
     if not all(-39 <= e <= 39 for e in ends):
         return
-    oracle = reg_detail(x, spec, (-40, 40))
     want = -40 if "no-condition-can-fail" in exact.flags else exact.value
-    assert (oracle.value, oracle.monotone_verified) == (want, exact.monotone_verified)
+    assert pointwise_reg(x, spec, -40, 40) == (want, exact.monotone_verified)
+
+
+@st.composite
+def _scan_case(draw):
+    # a range left of, right of or straddling the finite ends of the
+    # irregular set, or starting near one of them, which can put lo in a gap
+    # between two pieces; width 0 gives lo == hi
+    x, spec = draw(_scroll_and_sheaf(-2))
+    ends = sorted({e for iv in _failing(x, spec, pq_conditions(x), 0) for e in iv if abs(e) != INF}) or [0]
+    width = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(("near", "left", "right", "straddle")))
+    if shape == "near":
+        lo = draw(st.sampled_from(ends)) + draw(st.integers(-3, 3))
+        hi = lo + width
+    elif shape == "left":
+        hi = ends[0] - draw(st.integers(1, 4))
+        lo = hi - width
+    elif shape == "right":
+        lo = ends[-1] + draw(st.integers(1, 4))
+        hi = lo + width
+    else:
+        lo, hi = ends[0] - draw(st.integers(0, 4)), ends[-1] + draw(st.integers(0, 4))
+    return x, spec, lo, hi
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_scan_case())
+def test_explicit_scan_matches_pointwise_reg(case):
+    # the clipped intervals against checking every p of the range, on
+    # positive and non-positive scrolls, split and Omega sheaves
+    x, spec, lo, hi = case
+    res = reg_detail(x, spec, (lo, hi))
+    assert (res.scan, res.flags) == ((lo, hi), ("explicit-scan",))
+    assert (res.value, res.monotone_verified) == pointwise_reg(x, spec, lo, hi)
 
 
 def test_compare_refuses_non_semipositive():

@@ -78,6 +78,15 @@ def test_oversized_grid_is_refused_before_it_is_built(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_op_is_refused_before_the_store(tmp_path):
+    # the library and the CLI share one check and one message
+    with pytest.raises(ValueError) as exc:
+        run_sweep({"m": [1], "n": [1], "a_min": 1, "a_max": 2}, ["reg", "nope"], {"split": [[0, 0]]},
+                  (0, 0), (0, 0), str(tmp_path / "out"))
+    assert str(exc.value) == "unknown op 'nope'; choose from cohom, reg, compare"
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_cells_skip_the_scroll_where_h_is_zero(tmp_path):
     summary = run_sweep({"m": [1], "n": [0], "a_min": 0, "a_max": 1}, ["compare"], {"split": [[0, 0]]},
                         (-1, 1), (-1, 1), str(tmp_path))
