@@ -207,6 +207,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; try a smaller scroll, twist or box", file=sys.stderr)
+        return 1
     if isinstance(result, int):
         return result
     print(canon_json(result))

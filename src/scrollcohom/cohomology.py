@@ -67,21 +67,36 @@ def pm_cohom(m: int, d: int) -> tuple[int, int]:
 # verify and the benchmark is < 6*10^5 B.
 SYM_CELL_BUDGET = 6 * 10**7
 
+# Most dynamic-program steps, one big-integer shift-add each, the Sym rows of
+# one query may take: n*k for Sym^k, so n*p for a line bundle and at most
+# (i+1)*n*p for the rows Sym^{p-i}..Sym^p of Omega^i(pH).  Where a_n = a_0
+# a row is one field, so the cell budget passes any k and the steps are the
+# cost: on P(O(1)^{n+1}) over P^1 (CPython 3.11.7, 2 vCPUs) a line query
+# took 2*10^6 steps (n = 2000, p = 1000) in 0.5 s CPU and 4*10^6 (n = 200,
+# p = 20000) in 1.0 s, and Omega^1000(1001H) at n = 2000, 2*10^9 steps, did
+# not answer in 30 s.
+SYM_STEP_BUDGET = 4 * 10**6
 
-def _row_width(x: Scroll, k: int, mass: int, m: int) -> int:
+
+def _row_width(x: Scroll, k: int, mass: int, m: int, rows: int = 1) -> int:
     """Field width in bytes for packed rows of Sym^k length, L = k*(a_n - a_0)
     + 1 fields, holding `mass` summands in all, so that no field carries
     through m+1 rounds of prefix or suffix sums: after round r+1 no field
     exceeds mass * C(L-1+r, r).  m = 0 also sizes the bare histogram.
     Raises ValueError when a table of k+1 such rows would exceed
-    SYM_CELL_BUDGET bytes.  Kept out of the cached :func:`_sym_row`, so
-    that a row cached under one budget is still checked against another."""
+    SYM_CELL_BUDGET bytes, or when building `rows` tables up to Sym^k
+    would exceed SYM_STEP_BUDGET steps.  Kept out of the cached
+    :func:`_sym_row`, so that a row cached under one budget is still
+    checked against another."""
     length = k * (x.a[-1] - x.a[0]) + 1
     cells = (k + 1) * length
     w = ((mass * comb(length - 1 + m, m)).bit_length() + 8) // 8
     if cells * w > SYM_CELL_BUDGET:
         raise ValueError(f"Sym^{k} on this scroll needs at least {cells * w} table bytes, "
                          f"over the budget of {SYM_CELL_BUDGET}")
+    if rows * x.n * k > SYM_STEP_BUDGET:
+        raise ValueError(f"Sym^{k} on this scroll needs up to {rows * x.n * k} dynamic-program steps, "
+                         f"over the budget of {SYM_STEP_BUDGET}")
     return w
 
 
@@ -225,7 +240,7 @@ def _hook_row(x: Scroll, i: int, p: int) -> tuple[int, int]:
     multiplicity is nonnegative: the positive and the negative terms are
     added apart and subtracted once, which never borrows."""
     n, a0 = x.n, x.a[0]
-    w = _row_width(x, p, sum(comb(n + 1, s) * comb(p - s + n, n) for s in range(i + 1)), x.m)
+    w = _row_width(x, p, sum(comb(n + 1, s) * comb(p - s + n, n) for s in range(i + 1)), x.m, i + 1)
     f = 8 * w
     signed = [0, 0]
     for s, sums in enumerate(subset_sums(x)[:i + 1]):

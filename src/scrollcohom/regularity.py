@@ -57,7 +57,28 @@ class RegularityReport:
                 "failures": [f.to_json() for f in self.failures]}
 
 
+# Most table cells one condition family may read: its size times dim+1, as
+# each condition reads a cohomology table of dim+1 ints, which the
+# sheaf_cohom cache keeps.  With O on P(O(1)+O(2)) over P^M (CPython 3.11.7,
+# 2 vCPUs): msreg at (0,0) read 5,252 conditions x 102 cells (5.4*10^5) in
+# 1.6 s CPU at M = 100 and 11,627 x 152 (1.8*10^6) in 7.0 s at M = 150,
+# pqreg 4,001 x 2,002 (8.0*10^6) in 1.0 s and 145 MB peak at M = 2000, and at
+# M = 10^5 pqreg ran out of memory.  Every family of the tests, verify and
+# the benchmark is under 10^3 cells.
+FAMILY_CELL_BUDGET = 6 * 10**5
+
+
+def check_family(x: Scroll, size: int, what: str):
+    """Refuse a family of `size` conditions on x, before it is built, when
+    its tables would pass FAMILY_CELL_BUDGET cells."""
+    cells = size * (x.dim + 1)
+    if cells > FAMILY_CELL_BUDGET:
+        raise ValueError(f"{size} {what} of {x.dim + 1} table cells each need {cells} cells, "
+                         f"over the budget of {FAMILY_CELL_BUDGET}")
+
+
 def pq_conditions(x: Scroll) -> list[Cond]:
+    check_family(x, (x.m + 1) * (x.n + 1) - 1, "(p,q)-regularity conditions")
     conds = []
     for j in range(x.m + 1):
         if (x.n, j) == (0, 0):
@@ -72,6 +93,7 @@ def pq_conditions(x: Scroll) -> list[Cond]:
 
 
 def ms_conditions(x: Scroll) -> list[Cond]:
+    check_family(x, (x.dim + 1) * (x.dim + 2) // 2 - 1, "multigraded regularity conditions")
     conds = []
     for total in range(1, x.dim + 1):
         for i in range(total + 1):
@@ -170,9 +192,10 @@ def reg_detail(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) 
     return RegResult(None, monotone, (0, 0), ("irregular-for-all-large-p" if bad else "no-condition-can-fail",))
 
 
-def reg(x: Scroll, spec: SheafSpec, scan: tuple[int, int] | None = None) -> int | None:
-    """Reg(E) as a bare integer: the value of :func:`reg_detail`."""
-    return reg_detail(x, spec, scan).value
+def reg(x: Scroll, spec: SheafSpec) -> int | None:
+    """Reg(E) over all of Z as a bare integer, or None: the value of
+    :func:`reg_detail`, which is the one entry for a scan range."""
+    return reg_detail(x, spec).value
 
 
 @dataclass(frozen=True)

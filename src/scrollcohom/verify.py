@@ -7,7 +7,8 @@ the same checks (and the acceptance tests run larger boxes).
 
 The reference formulas the tests share live here under public names
 (:func:`bott_h`, :func:`classical_pn_regular`, :func:`hook_twists`,
-:func:`pointwise_reg`, :func:`regular_split_samples`).
+:func:`kuenneth_table`, :func:`pointwise_reg`, :func:`regular_split_samples`).
+A check that compares two routes is one :func:`_agree` over its case list.
 No production module imports this one.
 """
 
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .characters import character_cohom, mult_map_rank
-from .cohomology import (SplitBundle, bundle_cohom, choose, euler_char, is_globally_generated,
-                         line_cohom, omega_cohom, subset_sums, sym_twists, zero_table)
+from .cohomology import (SplitBundle, add_tables, bundle_cohom, choose, euler_char,
+                         is_globally_generated, line_cohom, omega_cohom, subset_sums, sym_twists,
+                         zero_table)
 from .complexes import (_contributing_keys, cotangent_resolution_left, cotangent_resolution_right,
                         euler_complex, exterior_complex, hypercohom, koszul_pullback,
                         koszul_pullback_spliced, per_key_dims, single_term_complex,
@@ -55,42 +57,55 @@ def _box(lo: int, hi: int):
     return [(p, q) for p in range(lo, hi + 1) for q in range(lo, hi + 1)]
 
 
+def _classes(scrolls, lo: int, hi: int) -> list:
+    return [(x, DivClass(p, q)) for x in scrolls for p, q in _box(lo, hi)]
+
+
+def _omega_cases(boxes) -> list:
+    """(x, i, T) for each (scroll, box of (p, q)) pair, i = 0..n and T in the box."""
+    return [(x, i, DivClass(p, q)) for x, box in boxes for i in range(x.n + 1) for p, q in box]
+
+
 def _result(suite, label, failures, detail=""):
     if failures:
         detail = f"{len(failures)} failures; first: {failures[0]}"
     return CheckResult(suite, label, not failures, detail)
 
 
+def _agree(suite: str, label: str, cases, route, reference) -> CheckResult:
+    """The check that route(*case) == reference(*case) on every case, with
+    one failure (case, got, want) per disagreement.  An empty case list
+    fails, so a filter slip cannot make the check pass vacuously."""
+    cases, bad = list(cases), []
+    for case in cases:
+        got, want = route(*case), reference(*case)
+        if got != want:
+            bad.append((case, got, want))
+    return _result(suite, label, bad) if cases else CheckResult(suite, label, False, "no cases")
+
+
 # -- scroll-core -----------------------------------------------------------
 
 def suite_scroll() -> list[CheckResult]:
-    out = []
-    bad = []
-    for x in FAMILY:
-        for p, q in _box(-4, 4):
-            d = x.divclass(p, q)
-            if x.serre_dual_twist(x.serre_dual_twist(d)) != d:
-                bad.append((x, d))
-    out.append(_result("scroll-core", "serre-dual-involution", bad))
-    bad = []
-    for x in FAMILY:
-        for w in (-1, 1, 2):
-            _, tmap = normalize_twist(x, w)
-            for p, q in _box(-3, 3):
-                d = DivClass(p, q)
-                if tmap.invert(tmap.apply(d)) != d:
-                    bad.append((x, w, d))
-    out.append(_result("scroll-core", "twist-map-inverse", bad))
-    bad = []
-    for x in FAMILY:
-        for w in (-1, 1, 2):
-            xw, tmap = normalize_twist(x, w)
-            for p, q in _box(-4, 4):
-                d = DivClass(p, q)
-                if line_cohom(x, d) != line_cohom(xw, tmap.apply(d)):
-                    bad.append((x, w, d))
-    out.append(_result("scroll-core", "twist-map-cohomology-invariance", bad))
-    return out
+    def round_trip(x, w, d):
+        tmap = normalize_twist(x, w)[1]
+        return tmap.invert(tmap.apply(d))
+
+    def retwisted(x, w, d):
+        xw, tmap = normalize_twist(x, w)
+        return line_cohom(xw, tmap.apply(d))
+
+    def twisted(lo, hi):
+        return [(x, w, DivClass(p, q)) for x in FAMILY for w in (-1, 1, 2) for p, q in _box(lo, hi)]
+
+    return [
+        _agree("scroll-core", "serre-dual-involution",
+               [(x, x.divclass(p, q)) for x in FAMILY for p, q in _box(-4, 4)],
+               lambda x, d: x.serre_dual_twist(x.serre_dual_twist(d)), lambda x, d: d),
+        _agree("scroll-core", "twist-map-inverse", twisted(-3, 3), round_trip, lambda x, w, d: d),
+        _agree("scroll-core", "twist-map-cohomology-invariance", twisted(-4, 4),
+               lambda x, w, d: line_cohom(x, d), retwisted),
+    ]
 
 
 # -- closed forms ----------------------------------------------------------
@@ -119,14 +134,9 @@ def suite_closed_form() -> list[CheckResult]:
                 bad.append((x, (p, q), t))
     out.append(_result("closed-form", "table-support", bad))
 
-    bad = []
-    for x in FAMILY:
-        for p, q in _box(-6, 6):
-            d = x.divclass(p, q)
-            t1, t2 = line_cohom(x, d), line_cohom(x, x.serre_dual_twist(d))
-            if any(t1[i] != t2[x.dim - i] for i in range(x.dim + 1)):
-                bad.append((x, d))
-    out.append(_result("closed-form", "serre-duality", bad))
+    out.append(_agree("closed-form", "serre-duality",
+                      [(x, x.divclass(p, q)) for x in FAMILY for p, q in _box(-6, 6)],
+                      line_cohom, lambda x, d: line_cohom(x, x.serre_dual_twist(d))[::-1]))
 
     bad = []
     for x in FAMILY:  # all semipositive; middle vanishing needs that
@@ -147,15 +157,10 @@ def suite_closed_form() -> list[CheckResult]:
             val //= i
         return val
 
-    bad = []
-    for x in FAMILY:
-        for p in range(0, 5):
-            for q in range(-6, 7):
-                chi = euler_char(x, DivClass(p, q))
-                poly = sum(mult * gen_binom(t + q + x.m, x.m) for t, mult in sym_twists(x, p))
-                if chi != poly:
-                    bad.append((x, (p, q), chi, poly))
-    out.append(_result("closed-form", "euler-characteristic-polynomial", bad))
+    out.append(_agree("closed-form", "euler-characteristic-polynomial",
+                      [(x, DivClass(p, q)) for x in FAMILY for p in range(0, 5) for q in range(-6, 7)],
+                      euler_char, lambda x, d: sum(mult * gen_binom(t + d.q + x.m, x.m)
+                                                   for t, mult in sym_twists(x, d.p))))
 
     def expanded(x: Scroll, hist, q: int) -> tuple[int, ...]:
         # each term's C(t+q+m, m) goes to h^0 for t + q >= 0 and, times
@@ -180,18 +185,12 @@ def suite_closed_form() -> list[CheckResult]:
                         bad.append((x, f"omega^{i}", (p, q)))
     out.append(_result("closed-form", "packed-sum-matches-histogram", bad))
 
-    bad = []
-    for x in FAMILY:
-        e1 = SplitBundle((DivClass(0, 0), DivClass(1, -1)))
-        e2 = SplitBundle((DivClass(-2, 1),))
-        both = SplitBundle(e1.summands + e2.summands)
-        for p, q in _box(-2, 2):
-            t = DivClass(p, q)
-            lhs = bundle_cohom(x, both, t)
-            rhs = tuple(a + b for a, b in zip(bundle_cohom(x, e1, t), bundle_cohom(x, e2, t)))
-            if lhs != rhs:
-                bad.append((x, t))
-    out.append(_result("closed-form", "bundle-additivity", bad))
+    e1 = SplitBundle((DivClass(0, 0), DivClass(1, -1)))
+    e2 = SplitBundle((DivClass(-2, 1),))
+    both = SplitBundle(e1.summands + e2.summands)
+    out.append(_agree("closed-form", "bundle-additivity", _classes(FAMILY, -2, 2),
+                      lambda x, t: bundle_cohom(x, both, t),
+                      lambda x, t: add_tables(bundle_cohom(x, e1, t), bundle_cohom(x, e2, t))))
 
     bad = []
     for x in POSITIVE_FAMILY:
@@ -228,14 +227,8 @@ def regular_split_samples(x: Scroll) -> list[SheafSpec]:
 
 # -- oracle ----------------------------------------------------------------
 
-def suite_oracle(box: int = 6) -> list[CheckResult]:
-    bad = []
-    for x in FAMILY:
-        for p, q in _box(-box, box):
-            d = DivClass(p, q)
-            if line_cohom(x, d) != character_cohom(x, d):
-                bad.append((x, d))
-    return [_result("oracle", "closed-form-agreement", bad)]
+def suite_oracle() -> list[CheckResult]:
+    return [_agree("oracle", "closed-form-agreement", _classes(FAMILY, -6, 6), line_cohom, character_cohom)]
 
 
 # -- complexes and hypercohomology ----------------------------------------
@@ -268,13 +261,8 @@ def suite_koszul() -> list[CheckResult]:
                 bad.append((x, build.__name__))
     out.append(_result("koszul", "exact-complexes-acyclic", bad))
 
-    bad = []
-    for x in FAMILY:
-        for p, q in _box(-4, 4):
-            d = DivClass(p, q)
-            if hypercohom(x, single_term_complex(x, d)) != line_cohom(x, d):
-                bad.append((x, d))
-    out.append(_result("koszul", "single-term-matches-line", bad))
+    out.append(_agree("koszul", "single-term-matches-line", _classes(FAMILY, -4, 4),
+                      lambda x, d: hypercohom(x, single_term_complex(x, d)), line_cohom))
 
     bad = []
     for x in fam:
@@ -286,46 +274,18 @@ def suite_koszul() -> list[CheckResult]:
             bad.append((x, got, want))
     out.append(_result("koszul", "euler-presents-relative-cotangent", bad))
 
-    bad = []
-    for x in fam:
-        for i in range(x.n + 1):
-            for p, q in _box(-2, 2):
-                t = DivClass(p, q)
-                left, right = _omega_tables(x, i, t)
-                if not left == right == omega_cohom(x, i, t):
-                    bad.append((x, i, t, left, right))
-    out.append(_result("koszul", "resolution-route-agreement", bad))
-
-    bad = []
-    for x in fam:
-        if x.n == 1:
-            for p, q in _box(-3, 3):
-                t = DivClass(p, q)
-                want = line_cohom(x, t + DivClass(-2, x.c))
-                if any(tab != want for tab in _omega_tables(x, 1, t)):
-                    bad.append((x, t))
-    out.append(_result("koszul", "rank-one-cotangent-is-line-bundle", bad))
-
-    bad = []
-    for x in fam:
-        # the top exterior power is the relative canonical line bundle
-        for p, q in _box(-2, 2):
-            t = DivClass(p, q)
-            want = line_cohom(x, t + DivClass(-(x.n + 1), x.c))
-            if any(tab != want for tab in _omega_tables(x, x.n, t)):
-                bad.append((x, t))
-    out.append(_result("koszul", "top-cotangent-is-relative-canonical", bad))
-
-    bad = []
-    for x in fam:
-        for i in range(x.n + 1):
-            for p, q in _box(-2, 2):
-                t = DivClass(p, q)
-                t1 = omega_cohom(x, i, t)
-                t2 = omega_cohom(x, x.n - i, DivClass(-t.p, -t.q - x.m - 1))
-                if any(t1[k] != t2[x.dim - k] for k in range(x.dim + 1)):
-                    bad.append((x, i, t))
-    out.append(_result("koszul", "cotangent-duality", bad))
+    omegas = _omega_cases((x, _box(-2, 2)) for x in fam)
+    out.append(_agree("koszul", "resolution-route-agreement", omegas,
+                      _omega_tables, lambda x, i, t: (omega_cohom(x, i, t),) * 2))
+    out.append(_agree("koszul", "rank-one-cotangent-is-line-bundle",
+                      _classes([x for x in fam if x.n == 1], -3, 3), lambda x, t: _omega_tables(x, 1, t),
+                      lambda x, t: (line_cohom(x, t + DivClass(-2, x.c)),) * 2))
+    # the top exterior power is the relative canonical line bundle
+    out.append(_agree("koszul", "top-cotangent-is-relative-canonical", _classes(fam, -2, 2),
+                      lambda x, t: _omega_tables(x, x.n, t),
+                      lambda x, t: (line_cohom(x, t + DivClass(-(x.n + 1), x.c)),) * 2))
+    out.append(_agree("koszul", "cotangent-duality", omegas, omega_cohom,
+                      lambda x, i, t: omega_cohom(x, x.n - i, DivClass(-t.p, -t.q - x.m - 1))[::-1]))
 
     bad = []
     for x in fam:
@@ -385,6 +345,19 @@ def bott_h(n: int, p: int, k: int, q: int) -> int:
     return 0
 
 
+def kuenneth_table(x: Scroll, i: int, t: DivClass) -> tuple[int, ...]:
+    """H^*(Omega^i(T)) on a product scroll, all twists 1, where X = P^n x P^m:
+    O(pH+qF) has bidegree (p, p+q) and Omega^i(pH+qF) is
+    Omega^i_{P^n}(p) boxtimes O_{P^m}(p+q), so Kuenneth sums products of
+    :func:`bott_h` tables of the two factors."""
+    return tuple(sum(bott_h(x.n, i, t.p, u) * bott_h(x.m, 0, t.p + t.q, k - u) for u in range(k + 1))
+                 for k in range(x.dim + 1))
+
+
+def _projective_space(n: int) -> Scroll:
+    return make_scroll(0, n, [0] * (n + 1))
+
+
 PRODUCT_SCROLLS = (make_scroll(1, 1, [1, 1]), make_scroll(2, 2, [1, 1, 1]), make_scroll(1, 3, [1, 1, 1, 1]))
 
 
@@ -396,40 +369,20 @@ def suite_bott() -> list[CheckResult]:
     omega_cohom's closed form are checked, and the closed form and the
     nonvanishing intervals of :func:`omega_h_intervals` are compared with
     both resolutions on the koszul and bott boxes."""
-    out = []
-    bad = []
-    for n in (1, 2, 3):
-        x = make_scroll(0, n, [0] * (n + 1))
-        for i in range(n + 1):
-            for d in range(-2 * n - 2, 2 * n + 3):
-                want = tuple(bott_h(n, i, d, k) for k in range(n + 1))
-                t = DivClass(d, 0)
-                for got in _omega_tables(x, i, t) + (omega_cohom(x, i, t),):
-                    if got != want:
-                        bad.append((n, i, d, got, want))
-    out.append(_result("bott", "projective-space-cotangent-tables", bad))
+    def tables(x, i, t):
+        return _omega_tables(x, i, t) + (omega_cohom(x, i, t),)
 
-    bad = []
-    for x in PRODUCT_SCROLLS:
-        # all twists 1: O(pH+qF) has product bidegree (p, p+q) and
-        # Omega^i_rel(pH+qF) = Omega^i_{P^n}(p) boxtimes O_{P^m}(p+q)
-        for i in range(x.n + 1):
-            for p in range(-3, 4):
-                for q in range(-3, 4):
-                    want = tuple(
-                        sum(bott_h(x.n, i, p, u) * _pn_h(x.m, k - u, p + q) for u in range(k + 1))
-                        for k in range(x.dim + 1)
-                    )
-                    t = DivClass(p, q)
-                    for got in _omega_tables(x, i, t) + (omega_cohom(x, i, t),):
-                        if got != want:
-                            bad.append((x, i, (p, q), got, want))
-    out.append(_result("bott", "product-scroll-kuenneth-cotangent-tables", bad))
+    spaces = [(x, [(d, 0) for d in range(-2 * x.n - 2, 2 * x.n + 3)])
+              for x in map(_projective_space, (1, 2, 3))]
+    products = [(x, _box(-3, 3)) for x in PRODUCT_SCROLLS]
+    out = [
+        _agree("bott", "projective-space-cotangent-tables", _omega_cases(spaces), tables,
+               lambda x, i, t: (tuple(bott_h(x.n, i, t.p, k) for k in range(x.n + 1)),) * 3),
+        _agree("bott", "product-scroll-kuenneth-cotangent-tables", _omega_cases(products), tables,
+               lambda x, i, t: (kuenneth_table(x, i, t),) * 3),
+    ]
 
-    boxes = [(x, _box(-2, 2)) for x in FAMILY if x.n >= 1]  # the koszul suite's
-    boxes += [(make_scroll(0, n, [0] * (n + 1)), [(d, 0) for d in range(-2 * n - 2, 2 * n + 3)])
-              for n in (1, 2, 3)]
-    boxes += [(x, _box(-3, 3)) for x in PRODUCT_SCROLLS]
+    boxes = [(x, _box(-2, 2)) for x in FAMILY if x.n >= 1] + spaces + products  # the koszul suite's, and the above
     bad, bad_intervals = [], []
     for x, box in boxes:
         for i in range(x.n + 1):
@@ -450,17 +403,9 @@ def suite_bott() -> list[CheckResult]:
 
 # -- regularity ------------------------------------------------------------
 
-def _pn_h(n: int, i: int, d: int) -> int:
-    if i == 0:
-        return choose(d + n, n)
-    if i == n:
-        return choose(-d - 1, n)
-    return 0
-
-
 def classical_pn_regular(n: int, twists, p: int) -> bool:
     """Whether O(d_1)+...+O(d_r) on P^n is p-regular, for twists d_j."""
-    return all(_pn_h(n, i, d + p - i) == 0 for d in twists for i in range(1, n + 1))
+    return all(bott_h(n, 0, d + p - i, i) == 0 for d in twists for i in range(1, n + 1))
 
 
 def pointwise_reg(x: Scroll, spec: SheafSpec, lo: int, hi: int) -> tuple[int | None, bool]:
@@ -473,31 +418,16 @@ def pointwise_reg(x: Scroll, spec: SheafSpec, lo: int, hi: int) -> tuple[int | N
 
 
 def suite_regularity() -> list[CheckResult]:
-    out = []
-    bad = []
-    for n in (1, 2, 3):
-        x = make_scroll(0, n, [0] * (n + 1))
-        for twists in ([0], [0, -2], [1, 3], [-1]):
-            e = SheafSpec.from_split([(d, 0) for d in twists])
-            for p in range(-3, 4):
-                if is_pq_regular(x, e, p, 0).verdict != classical_pn_regular(n, twists, p):
-                    bad.append((n, twists, p))
-    out.append(_result("regularity", "projective-space-reduction", bad))
+    def on_pn(n, twists, p):
+        return is_pq_regular(_projective_space(n), SheafSpec.from_split([(d, 0) for d in twists]), p, 0).verdict
 
-    bad = []
-    for x in FAMILY:
-        # c = n+1 on a positive scroll forces a = (1,...,1), the product case
-        if not (x.is_positive and x.c == x.n + 1 and x.n > 0 and x.m > 0):
-            continue
-        for p, q in _box(-4, 4):
-            got = line_cohom(x, DivClass(p, q))
-            want = tuple(
-                sum(_pn_h(x.n, u, p) * _pn_h(x.m, k - u, p + q) for u in range(k + 1))
-                for k in range(x.dim + 1)
-            )
-            if got != want:
-                bad.append((x, (p, q), got, want))
-    out.append(_result("regularity", "product-space-kuenneth", bad))
+    out = [_agree("regularity", "projective-space-reduction",
+                  [(n, twists, p) for n in (1, 2, 3) for twists in ([0], [0, -2], [1, 3], [-1])
+                   for p in range(-3, 4)], on_pn, classical_pn_regular)]
+    # c = n+1 on a positive scroll forces a = (1,...,1), the product case
+    products = [x for x in FAMILY if x.is_positive and x.c == x.n + 1 and x.n > 0 and x.m > 0]
+    out.append(_agree("regularity", "product-space-kuenneth", _classes(products, -4, 4),
+                      line_cohom, lambda x, t: kuenneth_table(x, 0, t)))
 
     bad = []
     for x in POSITIVE_FAMILY:
@@ -527,14 +457,21 @@ def suite_regularity() -> list[CheckResult]:
     out.append(_result("regularity", "regular-implies-pq-regular", bad))
 
     bad = []
-    for x in FAMILY:
+    # FAMILY is semipositive, where the irregular p form a down-set; on
+    # P(O(-1)+O(1)) over P^1 they are (-inf, -1] and [1, inf) for O, so a
+    # range may also start in a gap: at a regular p after an irregular one,
+    # with an irregular one to come
+    for x in FAMILY + (make_scroll(1, 1, [-1, 1]),):
         for summands in ([(0, 0)], [(0, 1)], [(1, -1)], [(-2, 0)], [(0, -1)], [(1, 1), (0, 0)]):
             e = SheafSpec.from_split(summands)
             v = reg_detail(x, e).value
             lo, hi = (v or 0) - x.dim - 3, (v or 0) + x.dim + 3
-            res, want = reg_detail(x, e, (lo, hi)), pointwise_reg(x, e, lo, hi)
-            if (res.value, res.monotone_verified) != want or (v is not None and v != want[0]):
-                bad.append((x, e.describe(), (lo, hi), res, want))
+            ok = [is_pq_regular(x, e, p, 0).verdict for p in range(lo, hi + 1)]
+            gaps = [lo + k for k in range(1, len(ok)) if ok[k] and not ok[k - 1] and not all(ok[k:])]
+            for start in [lo] + gaps:
+                res, want = reg_detail(x, e, (start, hi)), pointwise_reg(x, e, start, hi)
+                if (res.value, res.monotone_verified) != want or (start == lo and v is not None and v != want[0]):
+                    bad.append((x, e.describe(), (start, hi), res, want))
     out.append(_result("regularity", "scan-monotonicity", bad))
 
     bad = []
@@ -563,16 +500,12 @@ def suite_regularity() -> list[CheckResult]:
                                     bad.append((x, e.describe(), (p, q), (mu1, mu2), (lam1, lam2), h))
     out.append(_result("regularity", "ms-twist-vanishing-lemma", bad))
 
-    bad = []
-    for x in FAMILY:
-        if x.m != 1:
-            continue
-        for summands in ([(0, 0)], [(0, 1)], [(1, -1)], [(0, -1)], [(-2, 1)]):
-            e = SheafSpec.from_split(summands)
-            for p, q in _box(-2, 2):
-                if rns_is_pq_regular(x, e, p, q).verdict != is_pq_regular(x, e, p, q).verdict:
-                    bad.append((x, e.describe(), (p, q)))
-    out.append(_result("regularity", "rational-normal-scroll-form-agrees", bad))
+    out.append(_agree("regularity", "rational-normal-scroll-form-agrees",
+                      [(x, SheafSpec.from_split(summands), p, q) for x in FAMILY if x.m == 1
+                       for summands in ([(0, 0)], [(0, 1)], [(1, -1)], [(0, -1)], [(-2, 1)])
+                       for p, q in _box(-2, 2)],
+                      lambda *case: rns_is_pq_regular(*case).verdict,
+                      lambda *case: is_pq_regular(*case).verdict))
     return out
 
 
@@ -614,15 +547,12 @@ def suite_splitting() -> list[CheckResult]:
                             bad.append((x, combo, cond.label, t))
     out.append(_result("splitting", "window-margins-vanish", bad))
 
-    bad = []
-    for x in scrolls:
-        for combo in _small_split_catalog(1, 2):
-            e = SheafSpec.from_split(combo)
-            if check_theorem(x, e, "2.1").verdict != check_theorem(x, e, "c2.5").verdict:
-                bad.append((x, combo, "c2.5"))
-            if check_theorem(x, e, "2.2").verdict != check_theorem(x, e, "c2.6").verdict:
-                bad.append((x, combo, "c2.6"))
-    out.append(_result("splitting", "rational-normal-scroll-equivalence", bad))
+    out.append(_agree("splitting", "rational-normal-scroll-equivalence",
+                      [(x, e, general, form) for x in scrolls
+                       for e in map(SheafSpec.from_split, _small_split_catalog(1, 2))
+                       for general, form in (("2.1", "c2.5"), ("2.2", "c2.6"))],
+                      lambda x, e, general, form: check_theorem(x, e, form).verdict,
+                      lambda x, e, general, form: check_theorem(x, e, general).verdict))
 
     bad = []
     x = make_scroll(1, 1, [1, 2])

@@ -359,3 +359,37 @@ def test_oversized_box_is_refused_quickly(capsys, tmp_path, argv):
 def test_box_at_the_limit_is_accepted(capsys):
     code, out, _ = run(capsys, "table", "--scroll", SCROLL, "--sheaf", O, "--pbox=0:0", "--qbox=-9999:10000")
     assert code == 0 and len(out.splitlines()) == 20001
+
+
+def _on_p(m, n=1, a=(1, 2)):
+    return json.dumps({"m": m, "n": n, "a": list(a)})
+
+
+@pytest.mark.parametrize("argv", [
+    ["msreg", "--scroll", _on_p(150), "--sheaf", O, "--at=0,0"],
+    ["msreg", "--scroll", _on_p(200), "--sheaf", O, "--at=0,0"],
+    ["split", "--scroll", _on_p(20000), "--sheaf", O, "--theorem", "2.3"],
+    ["reg", "--scroll", _on_p(20000), "--sheaf", O],
+    ["compare", "--scroll", _on_p(2000), "--sheaf", O, "--pbox=0:0", "--qbox=0:0"],
+    ["cohom", "--scroll", _on_p(1, 2000, [1] * 2001), "--sheaf", '{"omega":{"i":1000,"twist":[1001,0]}}'],
+    ["pqreg", "--scroll", _on_p(100000), "--sheaf", O, "--at=0,0"],
+], ids=["msreg-150", "msreg-200", "split-2.3", "reg", "compare", "omega-hook", "pqreg"])
+def test_large_scroll_is_refused_by_its_budget(capsys, argv):
+    # the condition family's tables, or the hook's Sym rows, are sized from
+    # the descriptor and refused before any of them is built
+    t0 = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - t0 < 2
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+
+
+def test_memory_error_is_an_error_line(capsys, monkeypatch):
+    from scrollcohom import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sheaf_cohom", exhausted)
+    assert run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", O) == \
+        (1, "", "error: out of memory; try a smaller scroll, twist or box\n")

@@ -62,6 +62,19 @@ def test_sym_twists_budget_counts_bytes(monkeypatch):
         cohomology.sym_twists.__wrapped__(X12, 255)
 
 
+
+def test_step_budget_counts_every_sym_row(monkeypatch):
+    # on O(1)^4 every Sym row is one field, so only the steps bound the work:
+    # n*p for a line bundle, (i+1)*n*p for the i+1 rows of Omega^i(pH)
+    x = make_scroll(1, 3, [1, 1, 1, 1])
+    monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 42)
+    assert cohomology.line_cohom.__wrapped__(x, DivClass(14, 0)) == line_cohom(x, DivClass(14, 0))
+    with pytest.raises(ValueError, match="^Sym\\^15 on this scroll needs up to 45 dynamic-program steps"):
+        cohomology.line_cohom.__wrapped__(x, DivClass(15, 0))
+    cohomology._hook_row.__wrapped__(x, 1, 7)
+    with pytest.raises(ValueError, match="needs up to 48 dynamic-program steps, over the budget of 42$"):
+        cohomology._hook_row.__wrapped__(x, 1, 8)
+
 def test_sym_twists_wide_fields_across_twists():
     # a = (0^6, 1): the count at twist t is C(100 - t + 5, 5), the total
     # C(106, 6) > 2^30, so neighbouring fields of many sizes sit side by side

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from scrollcohom import (DivClass, SheafSpec, compare_regularities, is_ms_regular, is_pq_regular,
                          make_scroll, reg, reg_detail, rns_is_pq_regular)
-from scrollcohom.regularity import _failing, ms_implies_pq, pq_conditions
+from scrollcohom.regularity import _failing, ms_conditions, ms_implies_pq, pq_conditions
 from scrollcohom.verify import classical_pn_regular, pointwise_reg
 from scrollcohom.windows import INF
 
@@ -273,3 +273,17 @@ def test_explicit_scan_matches_pointwise_reg(case):
 def test_compare_refuses_non_semipositive():
     with pytest.raises(ValueError):
         compare_regularities(make_scroll(1, 1, [-1, 2]), O, (0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (2, 3), (4, 2)])
+def test_family_budget_counts_the_family(m, n, monkeypatch):
+    # the size the budget is checked against is the size of the family built
+    x = make_scroll(m, n, [1] * (n + 1))
+    for build in (pq_conditions, ms_conditions):
+        size = len(build(x))
+        with monkeypatch.context() as patch:
+            patch.setattr("scrollcohom.regularity.FAMILY_CELL_BUDGET", size * (x.dim + 1))
+            build(x)
+            patch.setattr("scrollcohom.regularity.FAMILY_CELL_BUDGET", size * (x.dim + 1) - 1)
+            with pytest.raises(ValueError, match=f"^{size} .* over the budget of {size * (x.dim + 1) - 1}$"):
+                build(x)
