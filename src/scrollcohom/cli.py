@@ -58,9 +58,9 @@ def _box(args) -> tuple[tuple[int, int], tuple[int, int]]:
 def _cmd_cohom(args, x, spec):
     t = DivClass(*_pair(args.twist, "--twist")) if args.twist else DivClass(0, 0)
     if args.oracle:
-        if spec.kind != "split":
+        if spec.spelled_omega:
             raise UsageError("--oracle applies to split sheaves only")
-        table = functools.reduce(add_tables, (character_cohom(x, s + t) for s in spec.split.summands))
+        table = functools.reduce(add_tables, (character_cohom(x, s + t) for _, s in spec.pieces))
     else:
         table = sheaf_cohom(x, spec, t)
     return {"h": list(table)}

@@ -183,14 +183,16 @@ def _packed_base_sum(m: int, row: int, w: int, e: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=1024)
-def subset_sums(x: Scroll) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per size s = 0..n+1, the histogram of a_I over the subsets I of the
-    twist indices with |I| = s: sorted pairs (a_I, count), the base twists
-    of the exterior power Lambda^s(V).  A dynamic program over the twists,
-    adding a_j to the subsets of each size met so far; no subset is listed."""
-    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in x.a]
+def subset_sums(x: Scroll, top: int | None = None) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per size s = 0..top (default n+1, every size), the histogram of a_I
+    over the subsets I of the twist indices with |I| = s: sorted pairs
+    (a_I, count), the base twists of the exterior power Lambda^s(V).  A
+    dynamic program over the twists, adding a_j to the subsets of each size
+    up to top met so far; no subset is listed, and no larger size is built."""
+    top = x.n + 1 if top is None else top
+    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(top)]
     for j, aj in enumerate(x.a):
-        for s in range(j + 1, 0, -1):
+        for s in range(min(j + 1, top), 0, -1):
             row = rows[s]
             for v, c in rows[s - 1].items():
                 row[v + aj] = row.get(v + aj, 0) + c
@@ -243,7 +245,7 @@ def _hook_row(x: Scroll, i: int, p: int) -> tuple[int, int]:
     w = _row_width(x, p, sum(comb(n + 1, s) * comb(p - s + n, n) for s in range(i + 1)), x.m, i + 1)
     f = 8 * w
     signed = [0, 0]
-    for s, sums in enumerate(subset_sums(x)[:i + 1]):
+    for s, sums in enumerate(subset_sums(x, i)):
         packed = sum(c << f * (u - s * a0) for u, c in sums)
         signed[(i - s) % 2] += packed * _sym_row(x, p - s, w)
     return signed[0] - signed[1], w
@@ -312,22 +314,8 @@ class SplitBundle:
             raise ValueError("a split bundle needs at least one summand")
         object.__setattr__(self, "summands", tuple(sorted(self.summands)))
 
-    @property
-    def rank(self) -> int:
-        return len(self.summands)
-
-    def twist(self, t: DivClass) -> "SplitBundle":
-        return SplitBundle(tuple(s + t for s in self.summands))
-
     def dual(self) -> "SplitBundle":
         return SplitBundle(tuple(-s for s in self.summands))
-
-    def to_json(self) -> dict:
-        return {"split": [s.to_json() for s in self.summands]}
-
-    @staticmethod
-    def from_json(data) -> "SplitBundle":
-        return SplitBundle(tuple(DivClass.from_json(s) for s in data))
 
 
 def bundle_cohom(x: Scroll, e: SplitBundle, t: DivClass = ZERO) -> tuple[int, ...]:

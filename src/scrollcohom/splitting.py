@@ -45,9 +45,12 @@ compares the result with a scan of every condition at every t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from math import comb
 
 from .cohomology import SplitBundle, subset_sums
-from .regularity import RegResult, reg_detail
+from .regularity import RegResult, check_family, reg_detail
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec
 from .windows import Cond, eval_cond, window_pass
@@ -112,7 +115,28 @@ def subset_values(x: Scroll) -> list[tuple[int, int]]:
     return [(r, a_i) for r in range(1, x.n + 1) for a_i, _ in sums[r]]
 
 
+@lru_cache(maxsize=1024)
+def _subset_value_bounds(x: Scroll) -> tuple[int, ...]:
+    """Per size r = 0..n+1, at most how many distinct a_I there are over
+    the subsets I with |I| = r: C(n+1, r), and the number of integers from
+    the sum of the r smallest twists to the sum of the r largest, where
+    every a_I lies.  It sizes the subset-indexed conditions before
+    :func:`subset_sums` runs.  C(n+1, r) grows up to r = (n+1)/2 and mirrors
+    after; it is stepped only while it may be the smaller, so it stays small."""
+    n1 = x.n + 1
+    cap = n1 * (x.a[-1] - x.a[0]) + 1  # no count of integers is larger
+    half, c = [], 1
+    for r in range(n1 // 2 + 1):
+        half.append(c)
+        if c <= cap:
+            c = c * (n1 - r) // (r + 1)
+    smallest = list(accumulate(x.a, initial=0))
+    largest = list(accumulate(reversed(x.a), initial=0))
+    return tuple(min(half[min(r, n1 - r)], largest[r] - smallest[r] + 1) for r in range(n1 + 1))
+
+
 def pure_h_conditions(x: Scroll) -> list[Cond]:
+    check_family(x, x.m + (x.m + 1) * x.n - 1, "pure-H splitting conditions")
     conds = [Cond("a", x.n + j, 0, x.c - j - 1, idx=(j,)) for j in range(x.m)]
     for j in range(x.m + 1):
         for i in range(x.n):
@@ -122,11 +146,12 @@ def pure_h_conditions(x: Scroll) -> list[Cond]:
 
 
 def ohf_conditions(x: Scroll) -> list[Cond]:
-    conds = [Cond("a", x.n + j, 0, x.c - j - 1, idx=(j,)) for j in range(1, x.m)]
-    for j in range(x.m + 1):
-        for i in range(x.n):
-            if (i, j) not in ((0, 0), (0, x.m)):
-                conds.append(Cond("b", i + j, 0, i - j, idx=(i, j)))
+    """The pure-H conditions without (a) j = 0 and (b) (0, m), then (c)
+    and the (d) pair per (|I|, a_I)."""
+    values = sum(_subset_value_bounds(x)[1:x.n + 1])
+    # (a) m-1, (b) (m+1)n-2, (c) m, and (d) two per (|I|, a_I)
+    check_family(x, 2 * x.m + (x.m + 1) * x.n - 3 + 2 * values, "O/O(F)/O(H-F) splitting conditions")
+    conds = [c for c in pure_h_conditions(x) if (c.label, c.idx) not in (("a", (0,)), ("b", (0, x.m)))]
     for j in range(x.m):
         conds.append(Cond("c", j + 1, 0, -j, dual=True, idx=(j,)))
     for r, a_i in subset_values(x):
@@ -140,6 +165,13 @@ def rns_ohf_conditions(x: Scroll) -> list[Cond]:
 
 
 def indecomposable_hypotheses(x: Scroll) -> list[Cond]:
+    v = _subset_value_bounds(x)
+    subset_indexed = (2 * sum(v[1:x.n + 1])  # d1, d2
+                      + sum(v[s] * (x.n - s) for s in range(1, x.n))  # e1: |I| = s for i >= s
+                      + sum(v[s] * (x.n + 1 - s) for s in range(2, x.n + 1)))  # e2: |I| = s for i <= n+1-s
+    # (a) and (b1) (m-1)(n+1), (b2) mn, (c1) and (c2) 2m
+    check_family(x, (x.m - 1) * (x.n + 1) + x.m * x.n + 2 * x.m + subset_indexed,
+                 "indecomposable-criterion hypotheses")
     conds = []
     for j in range(1, x.m):
         conds.append(Cond("a", x.n + j, -(x.n + 1), x.c - j - 1, idx=(j,)))
@@ -213,12 +245,13 @@ def _indecomposable_check(x: Scroll, spec: SheafSpec, theorem: str) -> Splitting
     precondition failure and the hypotheses and case split are still
     evaluated for inspection.
     """
+    hypotheses = indecomposable_hypotheses(x)  # sized before Reg does any work
     reg_res = reg_detail(x, spec)
     pre = ()
     if reg_res.value != 0:
         pre = (f"Reg(E) = {reg_res.value}, hypothesis needs 0",)
     witnesses = []
-    for cond in indecomposable_hypotheses(x):
+    for cond in hypotheses:
         if theorem == "c2.7" and cond.label in ("c1", "c2"):
             continue
         h = eval_cond(x, spec, cond)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .characters import character_cohom, mult_map_rank
-from .cohomology import (SplitBundle, add_tables, bundle_cohom, choose, euler_char,
-                         is_globally_generated, line_cohom, omega_cohom, subset_sums, sym_twists,
-                         zero_table)
+from .cohomology import (add_tables, choose, euler_char, is_globally_generated, line_cohom,
+                         omega_cohom, subset_sums, sym_twists, zero_table)
 from .complexes import (_contributing_keys, cotangent_resolution_left, cotangent_resolution_right,
                         euler_complex, exterior_complex, hypercohom, koszul_pullback,
                         koszul_pullback_spliced, per_key_dims, single_term_complex,
@@ -28,7 +27,7 @@ from .complexes import (_contributing_keys, cotangent_resolution_left, cotangent
 from .regularity import (compare_regularities, is_ms_regular, is_pq_regular, reg_detail,
                          rns_is_pq_regular)
 from .scroll import DivClass, Scroll, make_scroll, normalize_twist
-from .sheaves import SheafSpec, sheaf_h
+from .sheaves import SheafSpec, sheaf_cohom, sheaf_h
 from .splitting import check_theorem, ground_truth_classify, ohf_conditions, pure_h_conditions
 from .windows import eval_cond, omega_h_intervals
 
@@ -185,17 +184,17 @@ def suite_closed_form() -> list[CheckResult]:
                         bad.append((x, f"omega^{i}", (p, q)))
     out.append(_result("closed-form", "packed-sum-matches-histogram", bad))
 
-    e1 = SplitBundle((DivClass(0, 0), DivClass(1, -1)))
-    e2 = SplitBundle((DivClass(-2, 1),))
-    both = SplitBundle(e1.summands + e2.summands)
+    e1 = SheafSpec.from_split([(0, 0), (1, -1)])
+    e2 = SheafSpec.from_split([(-2, 1)])
+    both = SheafSpec(e1.pieces + e2.pieces)
     out.append(_agree("closed-form", "bundle-additivity", _classes(FAMILY, -2, 2),
-                      lambda x, t: bundle_cohom(x, both, t),
-                      lambda x, t: add_tables(bundle_cohom(x, e1, t), bundle_cohom(x, e2, t))))
+                      lambda x, t: sheaf_cohom(x, both, t),
+                      lambda x, t: add_tables(sheaf_cohom(x, e1, t), sheaf_cohom(x, e2, t))))
 
     bad = []
     for x in POSITIVE_FAMILY:
         for e in regular_split_samples(x):
-            for s in e.split.summands:
+            for _, s in e.pieces:
                 if not is_globally_generated(x, s):
                     bad.append((x, e.describe(), s))
     out.append(_result("closed-form", "regular-implies-globally-generated", bad))

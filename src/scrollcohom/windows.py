@@ -13,11 +13,11 @@ regions of Bott's formula on the fibre (:func:`omega_h_intervals`):
     P < i - n                      the first region of Omega^{n-i} at
                                    -q-m-1 and degree dim-k, reflected
 
-:func:`h_intervals` gives, for either sheaf kind, exactly the set of t
-where h^k(E<t + dp, dq>) != 0; regularity reads its unions.
+:func:`h_intervals` gives exactly the set of t where h^k(E<t + dp, dq>)
+!= 0, as the union over E's pieces Omega^i(T); regularity reads its unions.
 
 Splitting criteria only quantify conditions in middle degrees, where on a
-positive scroll both kinds' intervals are finite.  A check makes one pass,
+positive scroll every piece's intervals are finite.  A check makes one pass,
 :func:`window_pass`: it lists each condition's intervals on E or E^dual,
 and the window, their hull together with the sheaf's section/top
 cohomology transitions (the anchors); outside it every condition vanishes.
@@ -91,16 +91,10 @@ def omega_h_intervals(x: Scroll, i: int, k: int, q: int) -> tuple:
 
 def h_intervals(x: Scroll, spec: SheafSpec, k: int, dp: int, dq: int) -> list:
     """The t with h^k(spec<t + dp, dq>) != 0, exactly, as a list of
-    intervals: the pieces of :func:`omega_h_intervals` with i = 0 for each
-    summand of a split sheaf, and with spec's i for Omega^i(T).  Omega^n(T)
-    with n > 0 is the line bundle O(T - (n+1)H + cF) and is read as one, so
-    every spelling of a line bundle gets the same pieces."""
-    if spec.kind == "split":
-        pairs = [(0, s) for s in spec.split.summands]
-    elif spec.omega_i == x.n > 0:
-        pairs = [(0, spec.omega_twist + DivClass(-(x.n + 1), x.c))]
-    else:
-        pairs = [(spec.omega_i, spec.omega_twist)]
+    intervals: those of :func:`omega_h_intervals` for each piece of spec.
+    Omega^n(T) with n > 0 is the line bundle O(T - (n+1)H + cF) and is read
+    as one here, where n is known, so all spellings of a line bundle agree."""
+    pairs = [(0, t + DivClass(-(x.n + 1), x.c)) if i == x.n > 0 else (i, t) for i, t in spec.pieces]
     return [(lo - t.p - dp, hi - t.p - dp) for i, t in pairs
             for lo, hi in omega_h_intervals(x, i, k, t.q + dq)]
 

@@ -291,6 +291,34 @@ def test_oversized_twist_is_refused_quickly(capsys, sheaf, twist):
     assert err.startswith("error: ") and "budget" in err
 
 
+WIDE_BASE = json.dumps({"m": 200000, "n": 1, "a": [1, 2]})
+WIDE_FIBER = json.dumps({"m": 1, "n": 547, "a": list(range(1, 549))})
+
+
+@pytest.mark.parametrize("theorem", ["2.1", "2.2", "2.3", "c2.5", "c2.6", "c2.7"])
+def test_oversized_criterion_family_is_refused_quickly(capsys, theorem):
+    # every criterion sizes its conditions before it builds them, the
+    # subset-indexed ones from a bound on the distinct a_I; the m = 1 forms
+    # are refused on a wide fibre, the others on a wide base too
+    for scroll in ([WIDE_FIBER] if theorem.startswith("c") else [WIDE_BASE, WIDE_FIBER]):
+        t0 = time.process_time()
+        code, out, err = run(capsys, "split", "--scroll", scroll, "--sheaf", O, "--theorem", theorem)
+        assert time.process_time() - t0 < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "budget" in err
+
+
+def test_omega_hook_builds_only_the_subset_sizes_it_reads(capsys):
+    # Omega^1 reads the a_I histograms of |I| <= 1 only; every size on 201
+    # spread twists would take O(n^4) dictionary updates
+    scroll = json.dumps({"m": 1, "n": 200, "a": list(range(1, 202))})
+    t0 = time.process_time()
+    code, out, _ = run(capsys, "cohom", "--scroll", scroll, "--sheaf", '{"omega":{"i":1,"twist":[2,0]}}')
+    assert time.process_time() - t0 < 1
+    # pi_* Omega^1(2H) = Lambda^2 V: sum over i < j of a_i + a_j + 1 sections
+    assert code == 0 and json.loads(out)["h"][0] == 200 * sum(range(1, 202)) + 201 * 200 // 2
+
+
 @pytest.mark.parametrize("scan, want", [
     ("-1000000000:1000000000",
      '{"flags":["explicit-scan"],"monotone_verified":true,"reg":0,"scan":[-1000000000,1000000000]}'),

@@ -152,7 +152,7 @@ SCAN_CATALOG = [(x, _split_specs(BOX)) for x in SPLIT_SCROLLS] + [
 
 
 @pytest.mark.parametrize("x, specs", SCAN_CATALOG,
-                         ids=[f"{x}-{specs[0].kind}" for x, specs in SCAN_CATALOG])
+                         ids=[f"{x}-{'omega' if specs[0].spelled_omega else 'split'}" for x, specs in SCAN_CATALOG])
 def test_interval_scan_matches_full_window_scan(x, specs):
     for spec in specs:
         for theorem in _scan_theorems(x):

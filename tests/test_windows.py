@@ -160,7 +160,9 @@ def test_h_intervals_shift_by_twist_and_condition():
 def test_omega_zero_window_is_the_line_bundle_window(twist):
     # Omega^0(T) is the line bundle O(T), and so is Omega^n(T + (n+1)H - cF):
     # one interval function gives all three spellings, and their duals, the
-    # same intervals, so the same window.
+    # same intervals, so the same window; one sum over the pieces gives them
+    # the same cohomology, and so the same report from every scan criterion.
+    from scrollcohom import check_theorem, sheaf_cohom
     from scrollcohom.splitting import indecomposable_hypotheses
     from scrollcohom.windows import window_pass
 
@@ -171,3 +173,10 @@ def test_omega_zero_window_is_the_line_bundle_window(twist):
         for conds in (pure_h_conditions(x), ohf_conditions(x), indecomposable_hypotheses(x)):
             for omega in spellings:
                 assert window_pass(x, omega, conds) == window_pass(x, line, conds)
+        theorems = ("2.1", "2.2", "c2.5", "c2.6") if x.m == 1 else ("2.1", "2.2")
+        for omega in spellings:
+            for p in range(-3, 4):
+                for q in range(-3, 4):
+                    assert sheaf_cohom(x, omega, DivClass(p, q)) == sheaf_cohom(x, line, DivClass(p, q))
+            for theorem in theorems:
+                assert check_theorem(x, omega, theorem).to_json() == check_theorem(x, line, theorem).to_json()
