@@ -51,13 +51,22 @@ class DivClass:
 
 ZERO = DivClass(0, 0)
 
+# Every cohomology table holds dim + 1 cells, and line cohomology sums over
+# all m + 1 of the base's: cost is linear in dim, with no other bound.  On
+# P(O(1)+O(2)) over P^{10^6}, `cohom` of O took 0.7 s CPU, of O(H) 0.9 s, and
+# `table` at one twist 0.8 s (Python 3.11, 2-vCPU VM); at m = 10^19 a table
+# cannot be allocated at all.
+TABLE_CELL_BUDGET = 10**6
+
 
 @dataclass(frozen=True)
 class Scroll:
     """The pair (base dimension m, fiber dimension n, twists a_0 <= ... <= a_n).
 
     Twists are sorted on construction; c = sum(a) is derived.  A point
-    (m = n = 0) is rejected.  Negative twists are accepted here; operations
+    (m = n = 0) is rejected, and so is a scroll whose cohomology tables,
+    dim + 1 cells, exceed TABLE_CELL_BUDGET: every scroll is built here, so
+    no command meets one.  Negative twists are accepted here; operations
     that need positivity enforce it themselves.
     """
 
@@ -70,6 +79,9 @@ class Scroll:
             raise ValueError("dimensions must be nonnegative")
         if self.m + self.n < 1:
             raise ValueError("degenerate point: need m + n >= 1")
+        if self.dim + 1 > TABLE_CELL_BUDGET:
+            raise ValueError(f"a scroll of dimension {self.dim} has cohomology tables of {self.dim + 1} cells, "
+                             f"over the budget of {TABLE_CELL_BUDGET}")
         if len(self.a) != self.n + 1:
             raise ValueError(f"need {self.n + 1} twists for fiber dimension {self.n}, got {len(self.a)}")
         object.__setattr__(self, "a", tuple(sorted(int(x) for x in self.a)))

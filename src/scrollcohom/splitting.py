@@ -38,8 +38,10 @@ t-intervals, exactly the twists where the condition is nonzero, for split
 sheaves and Omega^i(T) alike, and the window, the hull of those same
 intervals (and of the anchors), which is reported.  Each condition is
 evaluated only at the twists inside its intervals, so every evaluation is a
-witness.  The test suite re-checks all conditions at the window margins and
-compares the result with a scan of every condition at every t.
+witness.  Every check, 2.3 and c2.7 too, builds E^dual at most once
+(:func:`scrollcohom.windows.side_lookup`).  The test suite re-checks all
+conditions at the window margins and compares the result with a scan of
+every condition at every t.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .cohomology import SplitBundle, subset_sums
 from .regularity import RegResult, check_family, reg_detail
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec
-from .windows import Cond, eval_cond, window_pass
+from .windows import Cond, eval_cond, side_lookup, window_pass
 
 THEOREM_IDS = ("2.1", "2.2", "2.3", "c2.5", "c2.6", "c2.7")
 
@@ -199,12 +201,13 @@ def indecomposable_hypotheses(x: Scroll) -> list[Cond]:
 
 
 def _scan_window(x: Scroll, spec: SheafSpec, conds: list[Cond], theorem: str) -> SplittingReport:
-    window, intervals = window_pass(x, spec, conds)
+    sides = side_lookup(x, spec, conds)
+    window, intervals = window_pass(x, spec, conds, sides)
     todo = {(t, i) for i, ivs in enumerate(intervals) for a, b in ivs for t in range(a, b + 1)}
     witnesses = []
     for t, i in sorted(todo):
         cond = conds[i]
-        h = eval_cond(x, spec, cond, t)
+        h = eval_cond(x, spec, cond, t, sides)
         if h:
             witnesses.append(Witness(cond.label, t, cond.idx,
                                      DivClass(t + cond.dp, cond.dq),
@@ -250,11 +253,12 @@ def _indecomposable_check(x: Scroll, spec: SheafSpec, theorem: str) -> Splitting
     pre = ()
     if reg_res.value != 0:
         pre = (f"Reg(E) = {reg_res.value}, hypothesis needs 0",)
+    sides = side_lookup(x, spec, hypotheses)
     witnesses = []
     for cond in hypotheses:
         if theorem == "c2.7" and cond.label in ("c1", "c2"):
             continue
-        h = eval_cond(x, spec, cond)
+        h = eval_cond(x, spec, cond, 0, sides)
         if h:
             witnesses.append(Witness(cond.label, None, cond.idx,
                                      DivClass(cond.dp, cond.dq),

@@ -8,8 +8,9 @@ the same checks (and the acceptance tests run larger boxes).
 The reference formulas the tests share live here under public names
 (:func:`bott_h`, :func:`classical_pn_regular`, :func:`hook_twists`,
 :func:`kuenneth_table`, :func:`pointwise_reg`, :func:`regular_split_samples`).
-A check that compares two routes is one :func:`_agree` over its case list.
-No production module imports this one.
+Every check is one :func:`_agree` over its case list: a route and a
+reference, or for a property the value expected on every case
+(:func:`_always`).  No production module imports this one.
 """
 
 from __future__ import annotations
@@ -65,12 +66,6 @@ def _omega_cases(boxes) -> list:
     return [(x, i, DivClass(p, q)) for x, box in boxes for i in range(x.n + 1) for p, q in box]
 
 
-def _result(suite, label, failures, detail=""):
-    if failures:
-        detail = f"{len(failures)} failures; first: {failures[0]}"
-    return CheckResult(suite, label, not failures, detail)
-
-
 def _agree(suite: str, label: str, cases, route, reference) -> CheckResult:
     """The check that route(*case) == reference(*case) on every case, with
     one failure (case, got, want) per disagreement.  An empty case list
@@ -80,7 +75,19 @@ def _agree(suite: str, label: str, cases, route, reference) -> CheckResult:
         got, want = route(*case), reference(*case)
         if got != want:
             bad.append((case, got, want))
-    return _result(suite, label, bad) if cases else CheckResult(suite, label, False, "no cases")
+    if not cases:
+        return CheckResult(suite, label, False, "no cases")
+    return CheckResult(suite, label, not bad, f"{len(bad)} failures; first: {bad[0]}" if bad else "")
+
+
+def _always(value):
+    """The reference of a property check: value on every case."""
+    return lambda *case: value
+
+
+def _regular_samples() -> list:
+    """(x, E) for each positive scroll of FAMILY and each of its :func:`regular_split_samples`."""
+    return [(x, e) for x in POSITIVE_FAMILY for e in regular_split_samples(x)]
 
 
 # -- scroll-core -----------------------------------------------------------
@@ -123,31 +130,6 @@ def hook_twists(x: Scroll, i: int, p: int) -> dict[int, int]:
 
 
 def suite_closed_form() -> list[CheckResult]:
-    out = []
-    bad = []
-    for x in FAMILY:
-        support = {0, x.m, x.n, x.dim}
-        for p, q in _box(-6, 6):
-            t = line_cohom(x, DivClass(p, q))
-            if any(h and i not in support for i, h in enumerate(t)):
-                bad.append((x, (p, q), t))
-    out.append(_result("closed-form", "table-support", bad))
-
-    out.append(_agree("closed-form", "serre-duality",
-                      [(x, x.divclass(p, q)) for x in FAMILY for p, q in _box(-6, 6)],
-                      line_cohom, lambda x, d: line_cohom(x, x.serre_dual_twist(d))[::-1]))
-
-    bad = []
-    for x in FAMILY:  # all semipositive; middle vanishing needs that
-        for p, q in _box(-6, 6):
-            t = line_cohom(x, DivClass(p, q))
-            middle = any(t[i] for i in range(1, x.dim) if i not in (0, x.dim))
-            if p >= 0 and q >= -x.m and middle:
-                bad.append((x, (p, q), t))
-            if p < -x.n and q < x.c and middle:
-                bad.append((x, (p, q), t))
-    out.append(_result("closed-form", "middle-vanishing-semipositive", bad))
-
     def gen_binom(top: int, k: int) -> int:
         val = 1
         for i in range(k):
@@ -155,11 +137,6 @@ def suite_closed_form() -> list[CheckResult]:
         for i in range(1, k + 1):
             val //= i
         return val
-
-    out.append(_agree("closed-form", "euler-characteristic-polynomial",
-                      [(x, DivClass(p, q)) for x in FAMILY for p in range(0, 5) for q in range(-6, 7)],
-                      euler_char, lambda x, d: sum(mult * gen_binom(t + d.q + x.m, x.m)
-                                                   for t, mult in sym_twists(x, d.p))))
 
     def expanded(x: Scroll, hist, q: int) -> tuple[int, ...]:
         # each term's C(t+q+m, m) goes to h^0 for t + q >= 0 and, times
@@ -173,41 +150,49 @@ def suite_closed_form() -> list[CheckResult]:
                 table[x.m] += (-1) ** x.m * val
         return tuple(table)
 
-    bad = []
-    for x in FAMILY:
-        for q in range(-30, 31):
-            for p in range(0, 13):
-                if line_cohom(x, DivClass(p, q)) != expanded(x, sym_twists(x, p), q):
-                    bad.append((x, "line", (p, q)))
-                for i in range(1, min(p, x.n + 1)):
-                    if omega_cohom(x, i, DivClass(p, q)) != expanded(x, hook_twists(x, i, p).items(), q):
-                        bad.append((x, f"omega^{i}", (p, q)))
-    out.append(_result("closed-form", "packed-sum-matches-histogram", bad))
+    def packed(x: Scroll, i: int, d: DivClass) -> tuple[int, ...]:
+        return omega_cohom(x, i, d) if i else line_cohom(x, d)
+
+    def histogram(x: Scroll, i: int, d: DivClass) -> tuple[int, ...]:
+        return expanded(x, hook_twists(x, i, d.p).items() if i else sym_twists(x, d.p), d.q)
+
+    def corank(x: Scroll, e: SheafSpec, by: DivClass) -> int:
+        rank, target = mult_map_rank(x, e.split, by)
+        return target - rank
 
     e1 = SheafSpec.from_split([(0, 0), (1, -1)])
     e2 = SheafSpec.from_split([(-2, 1)])
     both = SheafSpec(e1.pieces + e2.pieces)
-    out.append(_agree("closed-form", "bundle-additivity", _classes(FAMILY, -2, 2),
-                      lambda x, t: sheaf_cohom(x, both, t),
-                      lambda x, t: add_tables(sheaf_cohom(x, e1, t), sheaf_cohom(x, e2, t))))
-
-    bad = []
-    for x in POSITIVE_FAMILY:
-        for e in regular_split_samples(x):
-            for _, s in e.pieces:
-                if not is_globally_generated(x, s):
-                    bad.append((x, e.describe(), s))
-    out.append(_result("closed-form", "regular-implies-globally-generated", bad))
-
-    bad = []
-    for x in POSITIVE_FAMILY:
-        for e in regular_split_samples(x):
-            for by in (DivClass(0, 1), DivClass(1, 0)):
-                rank, target = mult_map_rank(x, e.split, by)
-                if rank != target:
-                    bad.append((x, e.describe(), by, rank, target))
-    out.append(_result("closed-form", "regular-multiplication-surjective", bad))
-    return out
+    samples = _regular_samples()
+    return [
+        _agree("closed-form", "table-support", _classes(FAMILY, -6, 6),
+               lambda x, d: [i for i, h in enumerate(line_cohom(x, d)) if h and i not in (0, x.m, x.n, x.dim)],
+               _always([])),
+        _agree("closed-form", "serre-duality",
+               [(x, x.divclass(p, q)) for x in FAMILY for p, q in _box(-6, 6)],
+               line_cohom, lambda x, d: line_cohom(x, x.serre_dual_twist(d))[::-1]),
+        # all of FAMILY is semipositive; middle vanishing needs that
+        _agree("closed-form", "middle-vanishing-semipositive",
+               [(x, d) for x, d in _classes(FAMILY, -6, 6)
+                if (d.p >= 0 and d.q >= -x.m) or (d.p < -x.n and d.q < x.c)],
+               lambda x, d: line_cohom(x, d)[1:x.dim], lambda x, d: (0,) * (x.dim - 1)),
+        _agree("closed-form", "euler-characteristic-polynomial",
+               [(x, DivClass(p, q)) for x in FAMILY for p in range(0, 5) for q in range(-6, 7)],
+               euler_char, lambda x, d: sum(mult * gen_binom(t + d.q + x.m, x.m)
+                                            for t, mult in sym_twists(x, d.p))),
+        # i = 0, the line bundle, at every p; Omega^i where its hook applies, 0 < i < p
+        _agree("closed-form", "packed-sum-matches-histogram",
+               [(x, i, DivClass(p, q)) for x in FAMILY for q in range(-30, 31) for p in range(0, 13)
+                for i in range(x.n + 1) if i == 0 or i < p],
+               packed, histogram),
+        _agree("closed-form", "bundle-additivity", _classes(FAMILY, -2, 2),
+               lambda x, t: sheaf_cohom(x, both, t),
+               lambda x, t: add_tables(sheaf_cohom(x, e1, t), sheaf_cohom(x, e2, t))),
+        _agree("closed-form", "regular-implies-globally-generated",
+               [(x, s) for x, e in samples for _, s in e.pieces], is_globally_generated, _always(True)),
+        _agree("closed-form", "regular-multiplication-surjective",
+               [(x, e, by) for x, e in samples for by in (DivClass(0, 1), DivClass(1, 0))], corank, _always(0)),
+    ]
 
 
 def regular_split_samples(x: Scroll) -> list[SheafSpec]:
@@ -242,95 +227,76 @@ def _omega_tables(x: Scroll, i: int, t: DivClass) -> tuple[tuple[int, ...], tupl
 
 
 def suite_koszul() -> list[CheckResult]:
-    out = []
     fam = [x for x in FAMILY if x.n >= 1]
-    bad = []
-    for x in fam:
-        for build in (euler_complex, exterior_complex, koszul_pullback, koszul_pullback_spliced):
-            c = build(x)
-            probs = validate_complex(c)
-            if probs:
-                bad.append((x, build.__name__, probs[0]))
-    out.append(_result("koszul", "builders-validate", bad))
 
-    bad = []
-    for x in fam:
-        for build in (exterior_complex, koszul_pullback, koszul_pullback_spliced):
-            if hypercohom(x, build(x)) != zero_table(x):
-                bad.append((x, build.__name__))
-    out.append(_result("koszul", "exact-complexes-acyclic", bad))
+    def chi(x: Scroll, i: int, t: DivClass) -> int:
+        return sum(h if k % 2 == 0 else -h for k, h in enumerate(omega_cohom(x, i, t)))
 
-    out.append(_agree("koszul", "single-term-matches-line", _classes(FAMILY, -4, 4),
-                      lambda x, d: hypercohom(x, single_term_complex(x, d)), line_cohom))
+    def resolution_chi(x: Scroll, i: int, t: DivClass) -> int:
+        c = cotangent_resolution_right(x, i).twist(t)
+        return sum((1 if pos % 2 == 0 else -1) * sum(euler_char(x, sm.cls) for sm in term)
+                   for pos, term in zip(c.positions, c.terms))
 
-    bad = []
-    for x in fam:
-        if x.n != 1:
-            continue
-        got = hypercohom(x, euler_complex(x))
-        want = line_cohom(x, DivClass(-1, x.c))
-        if got != want:
-            bad.append((x, got, want))
-    out.append(_result("koszul", "euler-presents-relative-cotangent", bad))
+    left = {x: cotangent_resolution_left(x, 1) for x in fam[:2]}
+
+    def probes() -> list:
+        """(x, key) for up to 12 character classes one lattice step off the
+        contributing keys of the left resolution of Omega^1, on the first two scrolls."""
+        out = []
+        for x, c in left.items():
+            keys = _contributing_keys(c)
+            gens = []
+            if x.m >= 1:
+                g = [0] * (x.m + x.n + 2)
+                g[0] -= 1
+                g[1] += 1
+                gens.append(tuple(g))
+            if x.n >= 1:
+                g = [0] * (x.m + x.n + 2)
+                g[x.m + 1] -= 1
+                g[x.m + 2] += 1
+                g[0] += x.a[1] - x.a[0]
+                gens.append(tuple(g))
+            near = set()
+            for key in sorted(keys)[:6]:
+                for g in gens:
+                    for sgn in (1, -1):
+                        cand = tuple(k + sgn * gi for k, gi in zip(key, g))
+                        if cand not in keys:
+                            near.add(cand)
+            out += [(x, key) for key in sorted(near)[:12]]
+        return out
 
     omegas = _omega_cases((x, _box(-2, 2)) for x in fam)
-    out.append(_agree("koszul", "resolution-route-agreement", omegas,
-                      _omega_tables, lambda x, i, t: (omega_cohom(x, i, t),) * 2))
-    out.append(_agree("koszul", "rank-one-cotangent-is-line-bundle",
-                      _classes([x for x in fam if x.n == 1], -3, 3), lambda x, t: _omega_tables(x, 1, t),
-                      lambda x, t: (line_cohom(x, t + DivClass(-2, x.c)),) * 2))
-    # the top exterior power is the relative canonical line bundle
-    out.append(_agree("koszul", "top-cotangent-is-relative-canonical", _classes(fam, -2, 2),
-                      lambda x, t: _omega_tables(x, x.n, t),
-                      lambda x, t: (line_cohom(x, t + DivClass(-(x.n + 1), x.c)),) * 2))
-    out.append(_agree("koszul", "cotangent-duality", omegas, omega_cohom,
-                      lambda x, i, t: omega_cohom(x, x.n - i, DivClass(-t.p, -t.q - x.m - 1))[::-1]))
-
-    bad = []
-    for x in fam:
-        for i in range(x.n + 1):
-            for p in range(-2, 3):
-                t = DivClass(p, 1 - p)
-                tab = omega_cohom(x, i, t)
-                chi = sum(h if k % 2 == 0 else -h for k, h in enumerate(tab))
-                c = cotangent_resolution_right(x, i).twist(t)
-                chi2 = 0
-                for pos, term in zip(c.positions, c.terms):
-                    s = sum(euler_char(x, sm.cls) for sm in term)
-                    chi2 += s if pos % 2 == 0 else -s
-                if chi != chi2:
-                    bad.append((x, i, t, chi, chi2))
-    out.append(_result("koszul", "hyper-euler-characteristic", bad))
-
-    bad = []
-    for x in fam[:2]:
-        c = cotangent_resolution_left(x, 1)
-        keys = _contributing_keys(c)
-        gens = []
-        if x.m >= 1:
-            g = [0] * (x.m + x.n + 2)
-            g[0] -= 1
-            g[1] += 1
-            gens.append(tuple(g))
-        if x.n >= 1:
-            g = [0] * (x.m + x.n + 2)
-            g[x.m + 1] -= 1
-            g[x.m + 2] += 1
-            g[0] += x.a[1] - x.a[0]
-            gens.append(tuple(g))
-        probes = set()
-        for key in sorted(keys)[:6]:
-            for g in gens:
-                for sgn in (1, -1):
-                    cand = tuple(k + sgn * gi for k, gi in zip(key, g))
-                    if cand not in keys:
-                        probes.add(cand)
-        for key in sorted(probes)[:12]:
-            dims = per_key_dims(c, key)
-            if dims:
-                bad.append((x, key, dims))
-    out.append(_result("koszul", "excluded-classes-acyclic", bad))
-    return out
+    return [
+        _agree("koszul", "builders-validate",
+               [(x, build) for x in fam
+                for build in (euler_complex, exterior_complex, koszul_pullback, koszul_pullback_spliced)],
+               lambda x, build: validate_complex(build(x)), _always([])),
+        _agree("koszul", "exact-complexes-acyclic",
+               [(x, build) for x in fam for build in (exterior_complex, koszul_pullback, koszul_pullback_spliced)],
+               lambda x, build: hypercohom(x, build(x)), lambda x, build: zero_table(x)),
+        _agree("koszul", "single-term-matches-line", _classes(FAMILY, -4, 4),
+               lambda x, d: hypercohom(x, single_term_complex(x, d)), line_cohom),
+        _agree("koszul", "euler-presents-relative-cotangent", [(x,) for x in fam if x.n == 1],
+               lambda x: hypercohom(x, euler_complex(x)), lambda x: line_cohom(x, DivClass(-1, x.c))),
+        _agree("koszul", "resolution-route-agreement", omegas,
+               _omega_tables, lambda x, i, t: (omega_cohom(x, i, t),) * 2),
+        _agree("koszul", "rank-one-cotangent-is-line-bundle",
+               _classes([x for x in fam if x.n == 1], -3, 3), lambda x, t: _omega_tables(x, 1, t),
+               lambda x, t: (line_cohom(x, t + DivClass(-2, x.c)),) * 2),
+        # the top exterior power is the relative canonical line bundle
+        _agree("koszul", "top-cotangent-is-relative-canonical", _classes(fam, -2, 2),
+               lambda x, t: _omega_tables(x, x.n, t),
+               lambda x, t: (line_cohom(x, t + DivClass(-(x.n + 1), x.c)),) * 2),
+        _agree("koszul", "cotangent-duality", omegas, omega_cohom,
+               lambda x, i, t: omega_cohom(x, x.n - i, DivClass(-t.p, -t.q - x.m - 1))[::-1]),
+        _agree("koszul", "hyper-euler-characteristic",
+               [(x, i, DivClass(p, 1 - p)) for x in fam for i in range(x.n + 1) for p in range(-2, 3)],
+               chi, resolution_chi),
+        _agree("koszul", "excluded-classes-acyclic", probes(),
+               lambda x, key: per_key_dims(left[x], key), _always({})),
+    ]
 
 
 def bott_h(n: int, p: int, k: int, q: int) -> int:
@@ -374,30 +340,20 @@ def suite_bott() -> list[CheckResult]:
     spaces = [(x, [(d, 0) for d in range(-2 * x.n - 2, 2 * x.n + 3)])
               for x in map(_projective_space, (1, 2, 3))]
     products = [(x, _box(-3, 3)) for x in PRODUCT_SCROLLS]
-    out = [
+    # the koszul suite's boxes, and the two above
+    omegas = _omega_cases([(x, _box(-2, 2)) for x in FAMILY if x.n >= 1] + spaces + products)
+    return [
         _agree("bott", "projective-space-cotangent-tables", _omega_cases(spaces), tables,
                lambda x, i, t: (tuple(bott_h(x.n, i, t.p, k) for k in range(x.n + 1)),) * 3),
         _agree("bott", "product-scroll-kuenneth-cotangent-tables", _omega_cases(products), tables,
                lambda x, i, t: (kuenneth_table(x, i, t),) * 3),
+        _agree("bott", "closed-form-matches-both-resolutions", omegas,
+               _omega_tables, lambda x, i, t: (omega_cohom(x, i, t),) * 2),
+        _agree("bott", "omega-intervals-match-resolutions",
+               [(x, i, t, k) for x, i, t in omegas for k in range(x.dim + 1)],
+               lambda x, i, t, k: tuple(bool(h[k]) for h in _omega_tables(x, i, t)),
+               lambda x, i, t, k: (any(lo <= t.p <= hi for lo, hi in omega_h_intervals(x, i, k, t.q)),) * 2),
     ]
-
-    boxes = [(x, _box(-2, 2)) for x in FAMILY if x.n >= 1] + spaces + products  # the koszul suite's, and the above
-    bad, bad_intervals = [], []
-    for x, box in boxes:
-        for i in range(x.n + 1):
-            for p, q in box:
-                t = DivClass(p, q)
-                left, right = _omega_tables(x, i, t)
-                closed = omega_cohom(x, i, t)
-                if not closed == left == right:
-                    bad.append((x, i, t, closed, left, right))
-                for k in range(x.dim + 1):
-                    inside = any(lo <= p <= hi for lo, hi in omega_h_intervals(x, i, k, q))
-                    if not inside == bool(left[k]) == bool(right[k]):
-                        bad_intervals.append((x, i, t, k, inside, left, right))
-    out.append(_result("bott", "closed-form-matches-both-resolutions", bad))
-    out.append(_result("bott", "omega-intervals-match-resolutions", bad_intervals))
-    return out
 
 
 # -- regularity ------------------------------------------------------------
@@ -420,92 +376,70 @@ def suite_regularity() -> list[CheckResult]:
     def on_pn(n, twists, p):
         return is_pq_regular(_projective_space(n), SheafSpec.from_split([(d, 0) for d in twists]), p, 0).verdict
 
-    out = [_agree("regularity", "projective-space-reduction",
-                  [(n, twists, p) for n in (1, 2, 3) for twists in ([0], [0, -2], [1, 3], [-1])
-                   for p in range(-3, 4)], on_pn, classical_pn_regular)]
+    def pq_regular(*case) -> bool:
+        return is_pq_regular(*case).verdict
+
+    def scans() -> list:
+        """(x, E, (start, hi), v) for Reg over [start, hi], where the window
+        [lo, hi] is Reg +- (dim + 3) about Reg = v unscanned (about 0 when v is
+        None) and start is lo or a regular p after an irregular one with an
+        irregular one to come; v is kept at start = lo only."""
+        out = []
+        # FAMILY is semipositive, where the irregular p form a down-set; on
+        # P(O(-1)+O(1)) over P^1 they are (-inf, -1] and [1, inf) for O, so a
+        # range may also start in a gap
+        for x in FAMILY + (make_scroll(1, 1, [-1, 1]),):
+            for summands in ([(0, 0)], [(0, 1)], [(1, -1)], [(-2, 0)], [(0, -1)], [(1, 1), (0, 0)]):
+                e = SheafSpec.from_split(summands)
+                v = reg_detail(x, e).value
+                lo, hi = (v or 0) - x.dim - 3, (v or 0) + x.dim + 3
+                ok = [is_pq_regular(x, e, p, 0).verdict for p in range(lo, hi + 1)]
+                gaps = [lo + k for k in range(1, len(ok)) if ok[k] and not ok[k - 1] and not all(ok[k:])]
+                out += [(x, e, (start, hi), v if start == lo else None) for start in [lo] + gaps]
+        return out
+
+    def scanned(x: Scroll, e: SheafSpec, scan: tuple[int, int], unscanned: int | None) -> tuple:
+        res = reg_detail(x, e, scan)
+        return res.value, res.monotone_verified, unscanned
+
+    def pointwise(x: Scroll, e: SheafSpec, scan: tuple[int, int], unscanned: int | None) -> tuple:
+        # the unscanned Reg, where it is kept and not None, is the Reg over the window
+        value, monotone = pointwise_reg(x, e, *scan)
+        return value, monotone, None if unscanned is None else value
+
     # c = n+1 on a positive scroll forces a = (1,...,1), the product case
     products = [x for x in FAMILY if x.is_positive and x.c == x.n + 1 and x.n > 0 and x.m > 0]
-    out.append(_agree("regularity", "product-space-kuenneth", _classes(products, -4, 4),
-                      line_cohom, lambda x, t: kuenneth_table(x, 0, t)))
-
-    bad = []
-    for x in POSITIVE_FAMILY:
-        for e in regular_split_samples(x):
-            for a in range(0, 4):
-                for b in range(0, 4):
-                    h = sheaf_h(x, e, x.dim, DivClass(a - x.n, x.c - 1 - x.m + b))
-                    if h:
-                        bad.append((x, e.describe(), a, b, h))
-    out.append(_result("regularity", "regular-positive-twist-top-vanishing", bad))
-
-    bad = []
-    for x in POSITIVE_FAMILY:
-        for e in regular_split_samples(x):
-            for q in range(0, 4):
-                if not is_pq_regular(x, e, 0, q).verdict:
-                    bad.append((x, e.describe(), q))
-    out.append(_result("regularity", "regular-implies-0q-regular", bad))
-
-    bad = []
-    for x in POSITIVE_FAMILY:
-        for e in regular_split_samples(x):
-            for p in range(0, 4):
-                for q in range(0, 4):
-                    if not is_pq_regular(x, e, p, q).verdict:
-                        bad.append((x, e.describe(), p, q))
-    out.append(_result("regularity", "regular-implies-pq-regular", bad))
-
-    bad = []
-    # FAMILY is semipositive, where the irregular p form a down-set; on
-    # P(O(-1)+O(1)) over P^1 they are (-inf, -1] and [1, inf) for O, so a
-    # range may also start in a gap: at a regular p after an irregular one,
-    # with an irregular one to come
-    for x in FAMILY + (make_scroll(1, 1, [-1, 1]),):
-        for summands in ([(0, 0)], [(0, 1)], [(1, -1)], [(-2, 0)], [(0, -1)], [(1, 1), (0, 0)]):
-            e = SheafSpec.from_split(summands)
-            v = reg_detail(x, e).value
-            lo, hi = (v or 0) - x.dim - 3, (v or 0) + x.dim + 3
-            ok = [is_pq_regular(x, e, p, 0).verdict for p in range(lo, hi + 1)]
-            gaps = [lo + k for k in range(1, len(ok)) if ok[k] and not ok[k - 1] and not all(ok[k:])]
-            for start in [lo] + gaps:
-                res, want = reg_detail(x, e, (start, hi)), pointwise_reg(x, e, start, hi)
-                if (res.value, res.monotone_verified) != want or (start == lo and v is not None and v != want[0]):
-                    bad.append((x, e.describe(), (start, hi), res, want))
-    out.append(_result("regularity", "scan-monotonicity", bad))
-
-    bad = []
-    for x in FAMILY:
-        for e in (SheafSpec.from_split([(0, 0)]), SheafSpec.from_split([(0, 1)])):
-            cr = compare_regularities(x, e, (-2, 2), (-2, 2))
-            if not cr.ok:
-                bad.append((x, e.describe(), cr.violations))
-    out.append(_result("regularity", "ms-implies-pq", bad))
-
-    bad = []
-    for x in FAMILY:
-        if not x.is_semipositive:
-            continue
-        for e in (SheafSpec.from_split([(0, 0)]), SheafSpec.from_split([(0, 1)])):
-            for p, q in _box(0, 2):
-                if not is_ms_regular(x, e, p, q).verdict:
-                    continue
-                for mu1 in range(3):
-                    for mu2 in range(3):
-                        for i in range(1, x.dim + 1):
-                            for lam1 in range(i + 1):
-                                lam2 = i - lam1
-                                h = sheaf_h(x, e, i, DivClass(p + mu1 - lam1, q + mu2 - lam2))
-                                if h:
-                                    bad.append((x, e.describe(), (p, q), (mu1, mu2), (lam1, lam2), h))
-    out.append(_result("regularity", "ms-twist-vanishing-lemma", bad))
-
-    out.append(_agree("regularity", "rational-normal-scroll-form-agrees",
-                      [(x, SheafSpec.from_split(summands), p, q) for x in FAMILY if x.m == 1
-                       for summands in ([(0, 0)], [(0, 1)], [(1, -1)], [(0, -1)], [(-2, 1)])
-                       for p, q in _box(-2, 2)],
-                      lambda *case: rns_is_pq_regular(*case).verdict,
-                      lambda *case: is_pq_regular(*case).verdict))
-    return out
+    samples = _regular_samples()
+    o_and_of = (SheafSpec.from_split([(0, 0)]), SheafSpec.from_split([(0, 1)]))
+    return [
+        _agree("regularity", "projective-space-reduction",
+               [(n, twists, p) for n in (1, 2, 3) for twists in ([0], [0, -2], [1, 3], [-1])
+                for p in range(-3, 4)], on_pn, classical_pn_regular),
+        _agree("regularity", "product-space-kuenneth", _classes(products, -4, 4),
+               line_cohom, lambda x, t: kuenneth_table(x, 0, t)),
+        _agree("regularity", "regular-positive-twist-top-vanishing",
+               [(x, e, x.dim, DivClass(a - x.n, x.c - 1 - x.m + b)) for x, e in samples for a, b in _box(0, 3)],
+               sheaf_h, _always(0)),
+        _agree("regularity", "regular-implies-0q-regular",
+               [(x, e, 0, q) for x, e in samples for q in range(0, 4)], pq_regular, _always(True)),
+        _agree("regularity", "regular-implies-pq-regular",
+               [(x, e, p, q) for x, e in samples for p, q in _box(0, 3)], pq_regular, _always(True)),
+        _agree("regularity", "scan-monotonicity", scans(), scanned, pointwise),
+        _agree("regularity", "ms-implies-pq", [(x, e) for x in FAMILY for e in o_and_of],
+               lambda x, e: compare_regularities(x, e, (-2, 2), (-2, 2)).violations, _always(())),
+        # h^i(E(p + mu1 - lam1, q + mu2 - lam2)) = 0 for ms-regular (p, q), 0 <= mu <= 2 and lam1 + lam2 = i
+        _agree("regularity", "ms-twist-vanishing-lemma",
+               [(x, e, i, DivClass(p + mu1 - lam1, q + mu2 - (i - lam1)))
+                for x in FAMILY if x.is_semipositive for e in o_and_of
+                for p, q in _box(0, 2) if is_ms_regular(x, e, p, q).verdict
+                for mu1, mu2 in _box(0, 2) for i in range(1, x.dim + 1) for lam1 in range(i + 1)],
+               sheaf_h, _always(0)),
+        _agree("regularity", "rational-normal-scroll-form-agrees",
+               [(x, SheafSpec.from_split(summands), p, q) for x in FAMILY if x.m == 1
+                for summands in ([(0, 0)], [(0, 1)], [(1, -1)], [(0, -1)], [(-2, 1)])
+                for p, q in _box(-2, 2)],
+               lambda *case: rns_is_pq_regular(*case).verdict, pq_regular),
+    ]
 
 
 # -- splitting -------------------------------------------------------------
@@ -520,52 +454,43 @@ def _small_split_catalog(box: int, max_rank: int):
 
 
 def suite_splitting() -> list[CheckResult]:
-    out = []
     scrolls = (make_scroll(1, 1, [1, 2]), make_scroll(1, 2, [1, 1, 2]))
-    bad = []
-    for x in scrolls:
-        for combo in _small_split_catalog(1, 2):
-            e = SheafSpec.from_split(combo)
-            truth = ground_truth_classify(e.split)
-            if check_theorem(x, e, "2.1").verdict != truth["pure_h"]:
-                bad.append((x, combo, "pure_h"))
-            if check_theorem(x, e, "2.2").verdict != truth["ohf"]:
-                bad.append((x, combo, "ohf"))
-    out.append(_result("splitting", "catalog-ground-truth", bad))
+    catalog = [(x, e) for x in scrolls for e in map(SheafSpec.from_split, _small_split_catalog(1, 2))]
 
-    bad = []
-    for x in scrolls:
-        for combo in ([(0, 0)], [(0, 1)], [(1, -1), (2, 0)], [(0, 2)]):
-            e = SheafSpec.from_split(combo)
-            for conds, rep in ((pure_h_conditions(x), check_theorem(x, e, "2.1")),
-                               (ohf_conditions(x), check_theorem(x, e, "2.2"))):
-                lo, hi = rep.window
-                for t in (lo - 1, lo - 2, hi + 1, hi + 2):
-                    for cond in conds:
-                        if eval_cond(x, e, cond, t):
-                            bad.append((x, combo, cond.label, t))
-    out.append(_result("splitting", "window-margins-vanish", bad))
+    def margins() -> list:
+        """(x, E, cond, t) for every condition of 2.1 and of 2.2 at the two
+        twists either side of that criterion's window."""
+        out = []
+        for x in scrolls:
+            for e in map(SheafSpec.from_split, ([(0, 0)], [(0, 1)], [(1, -1), (2, 0)], [(0, 2)])):
+                for conds, theorem in ((pure_h_conditions(x), "2.1"), (ohf_conditions(x), "2.2")):
+                    lo, hi = check_theorem(x, e, theorem).window
+                    out += [(x, e, cond, t) for t in (lo - 1, lo - 2, hi + 1, hi + 2) for cond in conds]
+        return out
 
-    out.append(_agree("splitting", "rational-normal-scroll-equivalence",
-                      [(x, e, general, form) for x in scrolls
-                       for e in map(SheafSpec.from_split, _small_split_catalog(1, 2))
-                       for general, form in (("2.1", "c2.5"), ("2.2", "c2.6"))],
-                      lambda x, e, general, form: check_theorem(x, e, form).verdict,
-                      lambda x, e, general, form: check_theorem(x, e, general).verdict))
+    def classified(x: Scroll, e: SheafSpec, fired: list) -> tuple:
+        rep = check_theorem(x, e, "2.3")
+        return rep.verdict, rep.reg.value, [(c.case, c.i, c.conclusion) for c in rep.fired]
 
-    bad = []
-    x = make_scroll(1, 1, [1, 2])
-    for summands, case, conclusion in ([(0, 0)], "i", "O"), ([(0, 1)], "ii", "O(F)"), ([(1, -1)], "iii", "O(H-F)"):
-        rep = check_theorem(x, SheafSpec.from_split(summands), "2.3")
-        fired = [(c.case, c.conclusion) for c in rep.fired]
-        if not rep.verdict or fired != [(case, conclusion)]:
-            bad.append((summands, rep.verdict, fired))
-    y = make_scroll(1, 3, [1, 1, 1, 1])
-    rep = check_theorem(y, SheafSpec.from_omega(2, DivClass(3, -3)), "2.3")
-    if not (rep.reg.value == 0 and rep.verdict and [(c.case, c.i) for c in rep.fired] == [("iv", 2)]):
-        bad.append(("omega", rep.reg.value, rep.verdict, rep.fired))
-    out.append(_result("splitting", "indecomposable-case-classification", bad))
-    return out
+    x12, y = make_scroll(1, 1, [1, 2]), make_scroll(1, 3, [1, 1, 1, 1])
+    return [
+        _agree("splitting", "catalog-ground-truth",
+               [(x, e, theorem, cls) for x, e in catalog for theorem, cls in (("2.1", "pure_h"), ("2.2", "ohf"))],
+               lambda x, e, theorem, cls: check_theorem(x, e, theorem).verdict,
+               lambda x, e, theorem, cls: ground_truth_classify(e.split)[cls]),
+        _agree("splitting", "window-margins-vanish", margins(), eval_cond, _always(0)),
+        _agree("splitting", "rational-normal-scroll-equivalence",
+               [(x, e, general, form) for x, e in catalog for general, form in (("2.1", "c2.5"), ("2.2", "c2.6"))],
+               lambda x, e, general, form: check_theorem(x, e, form).verdict,
+               lambda x, e, general, form: check_theorem(x, e, general).verdict),
+        # each sheaf is regular, passes the hypotheses and fires exactly its own case
+        _agree("splitting", "indecomposable-case-classification",
+               [(x12, SheafSpec.from_split([(0, 0)]), [("i", None, "O")]),
+                (x12, SheafSpec.from_split([(0, 1)]), [("ii", None, "O(F)")]),
+                (x12, SheafSpec.from_split([(1, -1)]), [("iii", None, "O(H-F)")]),
+                (y, SheafSpec.from_omega(2, DivClass(3, -3)), [("iv", 2, "Omega^2<3,-3>")])],
+               classified, lambda x, e, fired: (True, 0, fired)),
+    ]
 
 
 SUITES = {

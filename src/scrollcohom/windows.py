@@ -17,7 +17,8 @@ regions of Bott's formula on the fibre (:func:`omega_h_intervals`):
 != 0, as the union over E's pieces Omega^i(T); regularity reads its unions.
 
 Splitting criteria only quantify conditions in middle degrees, where on a
-positive scroll every piece's intervals are finite.  A check makes one pass,
+positive scroll every piece's intervals are finite.  A check builds E^dual
+once, when some condition reads it (:func:`side_lookup`), and makes one pass,
 :func:`window_pass`: it lists each condition's intervals on E or E^dual,
 and the window, their hull together with the sheaf's section/top
 cohomology transitions (the anchors); outside it every condition vanishes.
@@ -99,19 +100,27 @@ def h_intervals(x: Scroll, spec: SheafSpec, k: int, dp: int, dq: int) -> list:
             for lo, hi in omega_h_intervals(x, i, k, t.q + dq)]
 
 
-def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[tuple[int, int], list]:
+def side_lookup(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> dict[bool, SheafSpec]:
+    """The sheaves a condition family reads, keyed by ``Cond.dual``: E, and
+    E^dual when some condition reads it, built once for the whole family."""
+    out = {False: spec}
+    if any(cond.dual for cond in conds):
+        out[True] = spec.dual(x)
+    return out
+
+
+def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond], sides=None) -> tuple[tuple[int, int], list]:
     """One pass over a condition family: ((t_lo, t_hi), intervals), where
     intervals[j] is :func:`h_intervals` of conds[j] on E or E^dual.
 
     Every condition vanishes outside its own intervals, so also outside the
     window, the hull of all intervals and of the anchors: the lowest end of
     the degree-dim intervals and the highest start of the degree-0 intervals
-    of E and, when some condition reads it, of E^dual.  E^dual is built
-    once.  Raises if a condition is nonzero for unboundedly many t.
+    of E and, when some condition reads it, of E^dual.  sides is the
+    family's :func:`side_lookup`, built here when not given.  Raises if a
+    condition is nonzero for unboundedly many t.
     """
-    sides = {False: spec}
-    if any(cond.dual for cond in conds):
-        sides[True] = spec.dual(x)
+    sides = sides or side_lookup(x, spec, conds)
     intervals = [h_intervals(x, sides[cond.dual], cond.k, cond.dp, cond.dq) for cond in conds]
     for cond, ivs in zip(conds, intervals):
         if any(lo == -INF or hi == INF for lo, hi in ivs):
@@ -129,6 +138,8 @@ def nonvanishing_window(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[
     return window_pass(x, spec, conds)[0]
 
 
-def eval_cond(x: Scroll, spec: SheafSpec, cond: Cond, t: int = 0) -> int:
-    target = spec.dual(x) if cond.dual else spec
+def eval_cond(x: Scroll, spec: SheafSpec, cond: Cond, t: int = 0, sides=None) -> int:
+    """h^k((E or E^dual)<t + dp, dq>) for E = spec; sides is the family's
+    :func:`side_lookup`, so that E^dual is not built again for each condition."""
+    target = (sides or side_lookup(x, spec, [cond]))[cond.dual]
     return sheaf_h(x, target, cond.k, DivClass(t + cond.dp, cond.dq))

@@ -308,6 +308,25 @@ def test_oversized_criterion_family_is_refused_quickly(capsys, theorem):
         assert err.startswith("error: ") and "budget" in err
 
 
+@pytest.mark.parametrize("m", [10**7, 10**19], ids=["ten-million", "past-an-index"])
+@pytest.mark.parametrize("cmd", ["cohom", "table", "oracle", "sweep"])
+def test_huge_base_dimension_is_refused_by_the_table_budget(capsys, tmp_path, cmd, m):
+    # every table has dim + 1 cells: the scroll is refused where it is built,
+    # before a table of them is allocated or a store touched
+    scroll = json.dumps({"m": m, "n": 1, "a": [1, 2]})
+    argv = {"cohom": ["cohom", "--scroll", scroll, "--sheaf", O, "--twist=1,0"],
+            "table": ["table", "--scroll", scroll, "--sheaf", O, "--pbox=0:0", "--qbox=0:0"],
+            "oracle": ["oracle", "--scroll", scroll, "--twist=0,0"],
+            "sweep": ["sweep", "--family", json.dumps({"m": [m], "n": [1], "a_min": 1, "a_max": 2}),
+                      "--ops", "cohom", "--pbox=0:0", "--qbox=0:0", "--out", str(tmp_path / "store")]}[cmd]
+    t0 = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - t0 < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+    assert not (tmp_path / "store").exists()
+
+
 def test_omega_hook_builds_only_the_subset_sizes_it_reads(capsys):
     # Omega^1 reads the a_I histograms of |I| <= 1 only; every size on 201
     # spread twists would take O(n^4) dictionary updates

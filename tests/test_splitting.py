@@ -5,8 +5,8 @@ import pytest
 from scrollcohom import (DivClass, SheafSpec, check_theorem, ground_truth_classify, make_scroll,
                          nonvanishing_window, sheaf_h)
 from scrollcohom.cohomology import SplitBundle
-from scrollcohom.splitting import (SplittingReport, Witness, ohf_conditions, pure_h_conditions,
-                                   rns_ohf_conditions)
+from scrollcohom.splitting import (SplittingReport, Witness, indecomposable_hypotheses, ohf_conditions,
+                                   pure_h_conditions, rns_ohf_conditions)
 from scrollcohom.windows import eval_cond
 
 X12 = make_scroll(1, 1, [1, 2])
@@ -184,8 +184,9 @@ def test_split_scan_evaluates_only_witnesses(monkeypatch):
 
 
 def test_split_check_builds_the_dual_once(monkeypatch):
-    # one window pass per check: E^dual is built once, and again only by the
-    # evaluation of each dual-side witness
+    # one side lookup per check: E^dual is built at most once, shared by the
+    # window pass and every dual-side evaluation, in the scans and in the
+    # 2.3/c2.7 hypothesis loop alike (which read E^dual in c1, d2 and e2)
     dual = SheafSpec.dual
     calls = []
 
@@ -195,14 +196,40 @@ def test_split_check_builds_the_dual_once(monkeypatch):
 
     monkeypatch.setattr(SheafSpec, "dual", counting_dual)
     dual_witnesses = 0
-    for x, spec in itertools.product(SPLIT_SCROLLS, _split_specs(BOX)):
-        for theorem in ("2.1", "2.2"):
+    cases = [(x, spec, _scan_theorems(x) + ["2.3"] + ["c2.7"] * (x.m == 1))
+             for x, spec in itertools.product(SPLIT_SCROLLS, _split_specs(BOX))]
+    # 4,670 E^dual builds in one 2.3 check when each dual hypothesis built its own
+    cases.append((make_scroll(1, 14, range(1, 16)), SheafSpec.from_split([(0, 0), (1, 0)]), ["2.3", "c2.7"]))
+    for x, spec, theorems in cases:
+        for theorem in theorems:
             calls.clear()
             report = check_theorem(x, spec, theorem)
-            n_dual = sum(w.side == "dual" for w in report.witnesses)
-            assert len(calls) <= 1 + n_dual, (spec.describe(), theorem, len(calls))
-            dual_witnesses += n_dual
+            assert len(calls) <= 1, (str(x), spec.describe(), theorem, len(calls))
+            dual_witnesses += sum(w.side == "dual" for w in report.witnesses)
     assert dual_witnesses
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 4), (2, 5)])
+def test_family_budget_counts_the_splitting_family(m, n, monkeypatch):
+    # the size each criterion checks against the budget, before it builds its
+    # family, is the family's size on equal and consecutive twists, where the
+    # a_I of each size fill the integers between their least and greatest,
+    # and never below it on spread twists; pure-H has no a_I and is always
+    # exact.  The first call is the builder's own: ohf_conditions calls
+    # pure_h_conditions, which checks again
+    sizes = []
+    monkeypatch.setattr("scrollcohom.splitting.check_family", lambda x, size, what: sizes.append(size))
+    equal, consecutive = [1] * (n + 1), range(1, n + 2)
+    spread = ([1 + 2 * (k // 2) for k in range(n + 1)], [k * k + 1 for k in range(n + 1)])  # (1,1,3,3), (1,2,5,10)
+    for twists, exact in [(equal, True), (consecutive, True)] + [(a, False) for a in spread]:
+        x = make_scroll(m, n, twists)
+        for build in (pure_h_conditions, ohf_conditions, indecomposable_hypotheses):
+            sizes.clear()
+            family = build(x)
+            if exact or build is pure_h_conditions:
+                assert sizes[0] == len(family), (str(x), build.__name__)
+            else:
+                assert sizes[0] >= len(family), (str(x), build.__name__)
 
 
 def test_subset_values_match_enumeration():
