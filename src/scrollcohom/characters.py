@@ -52,19 +52,27 @@ class Character:
 
 def weak_compositions(total: int, parts: int):
     """Yield tuples of `parts` nonnegative integers summing to `total`,
-    in lexicographically increasing order."""
-    if total < 0:
+    in lexicographically increasing order.
+
+    Iterative, so any number of parts works: the successor of a tuple adds
+    one to the rightmost entry with a nonzero tail after it, zeroes that
+    tail and puts the tail's sum, less one, in the last entry."""
+    if total < 0 or (parts == 0 and total > 0):
         return
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    comp = [0] * parts
+    if parts:
+        comp[-1] = total
+    while True:
+        yield tuple(comp)
+        tail = 0
+        for k in range(parts - 2, -1, -1):
+            tail += comp[k + 1]
+            if tail:
+                break
+        else:
+            return
+        comp[k] += 1
+        comp[k + 1:] = [0] * (parts - k - 2) + [tail - 1]
 
 
 def _bump(vec: tuple[int, ...], i: int) -> tuple[int, ...]:

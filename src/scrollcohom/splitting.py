@@ -32,13 +32,20 @@ The m = 1 forms ("c2.5", "c2.6", "c2.7") need base dimension 1 and read
 the general lists: "c2.5" scans the 2.1 conditions as they are, and "c2.6"
 and "c2.7" are 2.2 and 2.3 without their (c) conditions (c1/c2 in 2.3).
 
-'For every integer t' is decided by one interval pass per check,
-:func:`scrollcohom.windows.window_pass`: it gives each condition's own
-t-intervals, exactly the twists where the condition is nonzero, for split
-sheaves and Omega^i(T) alike, and the window, the hull of those same
-intervals (and of the anchors), which is reported.  Each condition is
-evaluated only at the twists inside its intervals, so every evaluation is a
-witness.  Every check, 2.3 and c2.7 too, builds E^dual at most once
+'For every integer t' is decided per piece.  Every condition of 2.1, 2.2,
+c2.5 and c2.6 is an h^k of E or E^dual, h^k is additive over E's pieces
+Omega^i(p, q), and twisting a piece by p*H shifts its t-axis by -p on E and
+by +p on E^dual.  So a report is the sum of shifted per-piece tables, each
+depending only on (scroll, criterion, i, q) and cached: one interval pass,
+:func:`scrollcohom.windows.window_pass`, on Omega^i(0, q) gives each
+condition's own t-intervals, exactly the twists where it is nonzero, and
+each side's hull; each condition is evaluated only inside its intervals, so
+every evaluation is nonzero.  Witnesses at equal (t, condition) add, and
+the window, which is reported, is the hull of the shifted hulls.
+:func:`_scan_window`, the same scan run directly on the whole sheaf, is the
+reference that verify checks the composed reports against.  Condition
+families, the 2.3 hypotheses and case detectors too, are built once per
+scroll; each table build and each 2.3/c2.7 check builds E^dual at most once
 (:func:`scrollcohom.windows.side_lookup`).  The test suite re-checks all
 conditions at the window margins and compares the result with a scan of
 every condition at every t.
@@ -55,7 +62,7 @@ from .cohomology import SplitBundle, subset_sums
 from .regularity import RegResult, check_family, reg_detail
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec
-from .windows import Cond, eval_cond, side_lookup, window_pass
+from .windows import Cond, eval_cond, hull, side_lookup, window_pass
 
 THEOREM_IDS = ("2.1", "2.2", "2.3", "c2.5", "c2.6", "c2.7")
 
@@ -201,8 +208,10 @@ def indecomposable_hypotheses(x: Scroll) -> list[Cond]:
 
 
 def _scan_window(x: Scroll, spec: SheafSpec, conds: list[Cond], theorem: str) -> SplittingReport:
+    """The direct scan of a whole sheaf, which verify checks
+    :func:`check_theorem`'s composed reports against."""
     sides = side_lookup(x, spec, conds)
-    window, intervals = window_pass(x, spec, conds, sides)
+    hulls, intervals = window_pass(x, spec, conds, sides)
     todo = {(t, i) for i, ivs in enumerate(intervals) for a, b in ivs for t in range(a, b + 1)}
     witnesses = []
     for t, i in sorted(todo):
@@ -212,11 +221,7 @@ def _scan_window(x: Scroll, spec: SheafSpec, conds: list[Cond], theorem: str) ->
             witnesses.append(Witness(cond.label, t, cond.idx,
                                      DivClass(t + cond.dp, cond.dq),
                                      "dual" if cond.dual else "E", h))
-    return SplittingReport(theorem, not witnesses, tuple(witnesses), window=window)
-
-
-_SCANS = {"2.1": pure_h_conditions, "2.2": ohf_conditions,
-          "c2.5": pure_h_conditions, "c2.6": rns_ohf_conditions}
+    return SplittingReport(theorem, not witnesses, tuple(witnesses), window=hull(hulls.values()))
 
 
 def _detectors(x: Scroll) -> list[tuple[str, int | None, str, Cond]]:
@@ -230,9 +235,66 @@ def _detectors(x: Scroll) -> list[tuple[str, int | None, str, Cond]]:
     return dets
 
 
+# each criterion's condition family, and the 2.3/c2.7 case detectors
+_FAMILIES = {"2.1": pure_h_conditions, "2.2": ohf_conditions, "2.3": indecomposable_hypotheses,
+             "c2.5": pure_h_conditions, "c2.6": rns_ohf_conditions,
+             "c2.7": lambda x: [c for c in indecomposable_hypotheses(x) if c.label not in ("c1", "c2")],
+             "cases": _detectors}
+
+
+@lru_cache(maxsize=64)
+def _family(x: Scroll, which: str) -> tuple:
+    """_FAMILIES[which] on x, built once per scroll.  A family over its
+    budget raises on every call, since exceptions are not cached."""
+    return tuple(_FAMILIES[which](x))
+
+
+@lru_cache(maxsize=1024)
+def _piece_table(x: Scroll, theorem: str, i: int, q: int) -> tuple:
+    """The scan of criterion `theorem` on the one-piece sheaf Omega^i(0, q):
+    per side it reads, keyed by ``Cond.dual``, (dual, hull, values), where
+    hull is the side's :func:`window_pass` hull and values the nonzero
+    (t, j, h^k(side<t + dp, dq>)) of the conditions conds[j] that read the
+    side, evaluated only inside their intervals, sorted by (t, j)."""
+    conds = _family(x, theorem)
+    spec = SheafSpec(((i, DivClass(0, q)),))
+    sides = side_lookup(x, spec, conds)
+    hulls, intervals = window_pass(x, spec, conds, sides)
+    values = {dual: [] for dual in sides}
+    for t, j in sorted({(t, j) for j, ivs in enumerate(intervals) for a, b in ivs for t in range(a, b + 1)}):
+        h = eval_cond(x, spec, conds[j], t, sides)
+        if h:
+            values[conds[j].dual].append((t, j, h))
+    return tuple((dual, hulls[dual], tuple(values[dual])) for dual in sides)
+
+
+def _composed_scan(x: Scroll, spec: SheafSpec, theorem: str) -> SplittingReport:
+    """:func:`_scan_window`'s report, summed from :func:`_piece_table`s.
+
+    h^k is additive over the pieces Omega^i(p, q) of E, and twisting a piece
+    by p*H shifts its table by -p on E and by +p on E^dual (whose piece is
+    twisted by -p*H).  So a witness's h is the sum of the shifted piece
+    values at its (t, j), and the window is the hull of the shifted hulls.
+    """
+    conds = _family(x, theorem)
+    ends, sums = [], {}
+    for i, twist in spec.pieces:
+        for dual, (lo, hi), values in _piece_table(x, theorem, i, twist.q):
+            shift = twist.p if dual else -twist.p
+            ends.append((lo + shift, hi + shift))
+            for t, j, h in values:
+                sums[t + shift, j] = sums.get((t + shift, j), 0) + h
+    witnesses = []
+    for (t, j), h in sorted(sums.items()):
+        cond = conds[j]
+        witnesses.append(Witness(cond.label, t, cond.idx, DivClass(t + cond.dp, cond.dq),
+                                 "dual" if cond.dual else "E", h))
+    return SplittingReport(theorem, not witnesses, tuple(witnesses), window=hull(ends))
+
+
 def _classify(x: Scroll, spec: SheafSpec) -> tuple[tuple[CaseFired, ...], str | None]:
     fired = []
-    for case, i, conclusion, cond in _detectors(x):
+    for case, i, conclusion, cond in _family(x, "cases"):
         h = eval_cond(x, spec, cond)
         if h:
             fired.append(CaseFired(case, i, h, conclusion))
@@ -248,7 +310,7 @@ def _indecomposable_check(x: Scroll, spec: SheafSpec, theorem: str) -> Splitting
     precondition failure and the hypotheses and case split are still
     evaluated for inspection.
     """
-    hypotheses = indecomposable_hypotheses(x)  # sized before Reg does any work
+    hypotheses = _family(x, theorem)  # sized before Reg does any work
     reg_res = reg_detail(x, spec)
     pre = ()
     if reg_res.value != 0:
@@ -256,8 +318,6 @@ def _indecomposable_check(x: Scroll, spec: SheafSpec, theorem: str) -> Splitting
     sides = side_lookup(x, spec, hypotheses)
     witnesses = []
     for cond in hypotheses:
-        if theorem == "c2.7" and cond.label in ("c1", "c2"):
-            continue
         h = eval_cond(x, spec, cond, 0, sides)
         if h:
             witnesses.append(Witness(cond.label, None, cond.idx,
@@ -273,9 +333,9 @@ def check_theorem(x: Scroll, spec: SheafSpec, which: str) -> SplittingReport:
     """Run criterion `which`, one of THEOREM_IDS, on E = spec.
 
     The criterion id, the m = 1 requirement of the c-forms and the scroll
-    are checked here, once each; 2.1, 2.2, c2.5 and c2.6 then scan their
-    condition family over every t, and 2.3 and c2.7 run the indecomposable
-    check.
+    are checked here, once each; 2.1, 2.2, c2.5 and c2.6 then compose their
+    scan over every t from per-piece tables, and 2.3 and c2.7 run the
+    indecomposable check.
     """
     if which not in THEOREM_IDS:
         raise ValueError(f"unknown criterion {which!r}; expected one of {THEOREM_IDS}")
@@ -283,9 +343,9 @@ def check_theorem(x: Scroll, spec: SheafSpec, which: str) -> SplittingReport:
         raise ValueError("the rational normal scroll criteria need base dimension 1")
     if not (x.is_positive and x.m > 0 and x.n > 0):
         raise ValueError("splitting criteria need a positive scroll with m, n > 0")
-    if which in _SCANS:
-        return _scan_window(x, spec, _SCANS[which](x), which)
-    return _indecomposable_check(x, spec, which)
+    if which in ("2.3", "c2.7"):
+        return _indecomposable_check(x, spec, which)
+    return _composed_scan(x, spec, which)
 
 
 def ground_truth_classify(e: SplitBundle) -> dict[str, bool]:

@@ -29,7 +29,8 @@ from .regularity import (compare_regularities, is_ms_regular, is_pq_regular, reg
                          rns_is_pq_regular)
 from .scroll import DivClass, Scroll, make_scroll, normalize_twist
 from .sheaves import SheafSpec, sheaf_cohom, sheaf_h
-from .splitting import check_theorem, ground_truth_classify, ohf_conditions, pure_h_conditions
+from .splitting import (_FAMILIES, _scan_window, check_theorem, ground_truth_classify, ohf_conditions,
+                        pure_h_conditions)
 from .windows import eval_cond, omega_h_intervals
 
 FAMILY = (
@@ -468,6 +469,19 @@ def suite_splitting() -> list[CheckResult]:
                     out += [(x, e, cond, t) for t in (lo - 1, lo - 2, hi + 1, hi + 2) for cond in conds]
         return out
 
+    def composed() -> list:
+        """(x, E, criterion) for the catalog's sheaves of two pieces and for
+        Omega^i(T) + O(T'), 0 < i <= n, each with its dual, under every scan
+        criterion (every one applies, since m = 1)."""
+        out = []
+        for x in scrolls:
+            sheaves = [e for y, e in catalog if y is x and len(e.pieces) > 1]
+            sheaves += [SheafSpec(((i, DivClass(*s)), (0, DivClass(*t)))) for i in range(1, x.n + 1)
+                        for s in ((0, 0), (2, -1), (-1, 1)) for t in ((0, 0), (1, 1), (-2, 0))]
+            out += [(x, f, theorem) for e in sheaves for f in (e, e.dual(x))
+                    for theorem in ("2.1", "2.2", "c2.5", "c2.6")]
+        return out
+
     def classified(x: Scroll, e: SheafSpec, fired: list) -> tuple:
         rep = check_theorem(x, e, "2.3")
         return rep.verdict, rep.reg.value, [(c.case, c.i, c.conclusion) for c in rep.fired]
@@ -490,6 +504,10 @@ def suite_splitting() -> list[CheckResult]:
                 (x12, SheafSpec.from_split([(1, -1)]), [("iii", None, "O(H-F)")]),
                 (y, SheafSpec.from_omega(2, DivClass(3, -3)), [("iv", 2, "Omega^2<3,-3>")])],
                classified, lambda x, e, fired: (True, 0, fired)),
+        # the report summed from shifted per-piece tables against a direct scan
+        _agree("splitting", "summand-composition", composed(),
+               lambda x, e, theorem: check_theorem(x, e, theorem).to_json(),
+               lambda x, e, theorem: _scan_window(x, e, _FAMILIES[theorem](x), theorem).to_json()),
     ]
 
 

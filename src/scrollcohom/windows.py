@@ -17,11 +17,15 @@ regions of Bott's formula on the fibre (:func:`omega_h_intervals`):
 != 0, as the union over E's pieces Omega^i(T); regularity reads its unions.
 
 Splitting criteria only quantify conditions in middle degrees, where on a
-positive scroll every piece's intervals are finite.  A check builds E^dual
+positive scroll every piece's intervals are finite.  A scan builds E^dual
 once, when some condition reads it (:func:`side_lookup`), and makes one pass,
 :func:`window_pass`: it lists each condition's intervals on E or E^dual,
-and the window, their hull together with the sheaf's section/top
-cohomology transitions (the anchors); outside it every condition vanishes.
+and each side's hull, that of the intervals its conditions read together
+with its section/top cohomology transitions (the anchors).  Outside the
+window, the hull of the hulls, every condition vanishes.  Twisting a piece
+by p*H shifts its intervals, and so its hulls, by -p on E and by +p on
+E^dual: :mod:`scrollcohom.splitting` composes a sheaf's report from
+per-piece tables that way.
 """
 
 from __future__ import annotations
@@ -109,33 +113,43 @@ def side_lookup(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> dict[bool, She
     return out
 
 
-def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond], sides=None) -> tuple[tuple[int, int], list]:
-    """One pass over a condition family: ((t_lo, t_hi), intervals), where
-    intervals[j] is :func:`h_intervals` of conds[j] on E or E^dual.
+def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond], sides=None) -> tuple[dict[bool, tuple[int, int]], list]:
+    """One pass over a condition family: (hulls, intervals), where
+    intervals[j] is :func:`h_intervals` of conds[j] on E or E^dual, and
+    hulls maps each side of the family's :func:`side_lookup` (built here
+    when not given), keyed like it by ``Cond.dual``, to the :func:`hull` of
+    the intervals of the conditions that read that side and of the side's
+    anchors: the lowest end of its degree-dim intervals and the highest
+    start of its degree-0 intervals.
 
     Every condition vanishes outside its own intervals, so also outside the
-    window, the hull of all intervals and of the anchors: the lowest end of
-    the degree-dim intervals and the highest start of the degree-0 intervals
-    of E and, when some condition reads it, of E^dual.  sides is the
-    family's :func:`side_lookup`, built here when not given.  Raises if a
-    condition is nonzero for unboundedly many t.
+    window, the hull of the hulls.  Raises if a condition is nonzero for
+    unboundedly many t.
     """
     sides = sides or side_lookup(x, spec, conds)
     intervals = [h_intervals(x, sides[cond.dual], cond.k, cond.dp, cond.dq) for cond in conds]
     for cond, ivs in zip(conds, intervals):
         if any(lo == -INF or hi == INF for lo, hi in ivs):
             raise ValueError(f"no finite bound for condition {cond}")
-    hulls = [iv for ivs in intervals for iv in ivs]
-    for side in sides.values():
-        hulls.append((min(iv[1] for iv in h_intervals(x, side, x.dim, 0, 0)),
+    hulls = {}
+    for dual, side in sides.items():
+        spans = [iv for cond, ivs in zip(conds, intervals) if cond.dual == dual for iv in ivs]
+        spans.append((min(iv[1] for iv in h_intervals(x, side, x.dim, 0, 0)),
                       max(iv[0] for iv in h_intervals(x, side, 0, 0, 0))))
-    return (int(min(h[0] for h in hulls)), int(max(h[1] for h in hulls))), intervals
+        hulls[dual] = hull(spans)
+    return hulls, intervals
+
+
+def hull(spans) -> tuple[int, int]:
+    """The least (lo, hi), as ints, that contains every (lo, hi) of spans."""
+    spans = list(spans)
+    return int(min(lo for lo, _ in spans)), int(max(hi for _, hi in spans))
 
 
 def nonvanishing_window(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[int, int]:
     """Finite [t_lo, t_hi] such that every condition in the family vanishes
-    for all t outside: the window half of :func:`window_pass`."""
-    return window_pass(x, spec, conds)[0]
+    for all t outside: the hull of :func:`window_pass`'s hulls."""
+    return hull(window_pass(x, spec, conds)[0].values())
 
 
 def eval_cond(x: Scroll, spec: SheafSpec, cond: Cond, t: int = 0, sides=None) -> int:

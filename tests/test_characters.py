@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from scrollcohom import Character, DivClass, character_cohom, enumerate_contributing, line_cohom, make_scroll
@@ -12,6 +14,11 @@ def test_weak_compositions():
     assert list(weak_compositions(0, 3)) == [(0, 0, 0)]
     assert list(weak_compositions(-1, 2)) == []
     assert len(list(weak_compositions(5, 3))) == 21
+    # against the lexicographic filter of a product, over every small shape
+    for total in range(-2, 9):
+        for parts in range(6):
+            want = [c for c in itertools.product(range(max(total + 1, 0)), repeat=parts) if sum(c) == total]
+            assert list(weak_compositions(total, parts)) == want, (total, parts)
 
 
 def test_degree_map():

@@ -327,6 +327,16 @@ def test_huge_base_dimension_is_refused_by_the_table_budget(capsys, tmp_path, cm
     assert not (tmp_path / "store").exists()
 
 
+def test_oracle_on_a_wide_base_answers(capsys):
+    # one base variable per part of a weak composition: 1001 of them must
+    # not reach the interpreter's recursion limit
+    t0 = time.process_time()
+    code, out, err = run(capsys, "oracle", "--scroll", '{"m":1000,"n":1,"a":[1,2]}', "--twist=0,0")
+    assert time.process_time() - t0 < 5
+    assert code == 0 and err == ""
+    assert json.loads(out)["h"] == [1] + [0] * 1001
+
+
 def test_omega_hook_builds_only_the_subset_sizes_it_reads(capsys):
     # Omega^1 reads the a_I histograms of |I| <= 1 only; every size on 201
     # spread twists would take O(n^4) dictionary updates

@@ -161,37 +161,50 @@ def test_interval_scan_matches_full_window_scan(x, specs):
 
 
 def test_split_scan_evaluates_only_witnesses(monkeypatch):
-    # exact intervals on both sheaf kinds: every eval_cond call is a witness
+    # exact intervals on every piece: a piece table evaluates each condition
+    # only where it is nonzero, and a repeated check reads cached tables only
     from scrollcohom import splitting
 
-    calls = []
+    splitting._family.cache_clear()
+    splitting._piece_table.cache_clear()
+    values = []
 
     def counting_eval(*args):
-        calls.append(args)
-        return eval_cond(*args)
+        values.append(eval_cond(*args))
+        return values[-1]
 
     monkeypatch.setattr(splitting, "eval_cond", counting_eval)
-    some_witness = False
+    some_witness = evaluated = False
     cases = list(itertools.product(SPLIT_SCROLLS, _split_specs(BOX)))
     cases += [(x, spec) for x in (X112, X123, Y) for spec in _omega_specs(x, BOX[::2])]
     for x, spec in cases:
         for theorem in _scan_theorems(x):
-            calls.clear()
+            values.clear()
             report = check_theorem(x, spec, theorem)
-            assert len(calls) == len(report.witnesses)
+            assert all(values), (str(x), spec.describe(), theorem)
+            evaluated = evaluated or bool(values)
+            values.clear()
+            assert check_theorem(x, spec, theorem) == report and not values
             some_witness = some_witness or bool(report.witnesses)
-    assert some_witness
+    assert some_witness and evaluated
 
 
 def test_split_check_builds_the_dual_once(monkeypatch):
-    # one side lookup per check: E^dual is built at most once, shared by the
-    # window pass and every dual-side evaluation, in the scans and in the
-    # 2.3/c2.7 hypothesis loop alike (which read E^dual in c1, d2 and e2)
+    # one side lookup per piece table: E^dual is built at most once per
+    # table build, shared by the table's window pass and every dual-side
+    # evaluation, and a warm scan builds none; the 2.3/c2.7 hypothesis loop
+    # (which reads E^dual in c1, d2 and e2) builds it at most once per check
+    from scrollcohom import splitting
+
+    splitting._family.cache_clear()
+    splitting._piece_table.cache_clear()
     dual = SheafSpec.dual
     calls = []
 
     def counting_dual(self, x):
-        calls.append(self)
+        # the lru_cache counts a miss before it runs the build, so this is
+        # the ordinal of the table build in progress
+        calls.append(splitting._piece_table.cache_info().misses)
         return dual(self, x)
 
     monkeypatch.setattr(SheafSpec, "dual", counting_dual)
@@ -203,10 +216,35 @@ def test_split_check_builds_the_dual_once(monkeypatch):
     for x, spec, theorems in cases:
         for theorem in theorems:
             calls.clear()
+            before = splitting._piece_table.cache_info().misses
             report = check_theorem(x, spec, theorem)
-            assert len(calls) <= 1, (str(x), spec.describe(), theorem, len(calls))
+            if theorem in ("2.3", "c2.7"):
+                assert len(calls) <= 1, (str(x), spec.describe(), theorem, len(calls))
+            else:
+                assert all(build > before for build in calls), (str(x), spec.describe(), theorem)
+                assert len(set(calls)) == len(calls), (str(x), spec.describe(), theorem, calls)
+                calls.clear()
+                check_theorem(x, spec, theorem)
+                assert not calls, (str(x), spec.describe(), theorem)
             dual_witnesses += sum(w.side == "dual" for w in report.witnesses)
     assert dual_witnesses
+
+
+def test_indecomposable_checks_build_their_families_once(monkeypatch):
+    # 2.3 and c2.7 read their hypotheses and the case detectors from the
+    # per-scroll family cache, as the scans read theirs
+    from scrollcohom import splitting
+
+    builds = []
+    for which in ("2.3", "c2.7", "cases"):
+        monkeypatch.setitem(splitting._FAMILIES, which,
+                            lambda x, which=which, build=splitting._FAMILIES[which]: builds.append(which) or build(x))
+    splitting._family.cache_clear()
+    for spec in _split_specs(BOX)[:50]:
+        for theorem in ("2.3", "c2.7"):
+            check_theorem(X12, spec, theorem)
+    splitting._family.cache_clear()
+    assert sorted(builds) == ["2.3", "c2.7", "cases"]
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 4), (2, 5)])

@@ -44,6 +44,7 @@ CHECKS = [
     ("splitting", "window-margins-vanish"),
     ("splitting", "rational-normal-scroll-equivalence"),
     ("splitting", "indecomposable-case-classification"),
+    ("splitting", "summand-composition"),
 ]
 
 
