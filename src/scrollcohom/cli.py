@@ -58,7 +58,7 @@ def _box(args) -> tuple[tuple[int, int], tuple[int, int]]:
 def _cmd_cohom(args, x, spec):
     t = DivClass(*_pair(args.twist, "--twist")) if args.twist else DivClass(0, 0)
     if args.oracle:
-        if spec.spelled_omega:
+        if spec.split is None:
             raise UsageError("--oracle applies to split sheaves only")
         table = functools.reduce(add_tables, (character_cohom(x, s + t) for _, s in spec.pieces))
     else:
@@ -141,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     scroll_arg.add_argument("--scroll", required=True, help='e.g. \'{"m":1,"n":1,"a":[1,2]}\'')
     sheaf_arg = argparse.ArgumentParser(add_help=False, parents=[scroll_arg])
     sheaf_arg.add_argument("--sheaf", required=True,
-                           help='\'{"split":[[0,0]]}\' or \'{"omega":{"i":1,"twist":[0,0]}}\'')
+                           help='\'{"split":[[0,0]]}\', \'{"omega":{"i":1,"twist":[0,0]}}\' '
+                                'or \'{"pieces":[[1,[2,-1]],[0,[1,0]]]}\'')
     box_arg = argparse.ArgumentParser(add_help=False)
     box_arg.add_argument("--pbox", required=True, help="lo:hi")
     box_arg.add_argument("--qbox", required=True, help="lo:hi")

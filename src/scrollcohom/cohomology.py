@@ -7,10 +7,26 @@ sits in degrees 0 and m for p >= 0, vanishes for -n <= p < 0, and for p < -n
 is computed by relative duality from Sym^{-p-n-1}(V)(c-q-1-m), landing in
 degrees n and n+m.
 
-The histogram of the twists t is counted, without listing the compositions,
-by a dynamic program whose rows are packed into big integers, one field per
-twist (Kronecker substitution): O(n p) big-integer shift-adds.  h^0 and h^m
-of the sum are read off that packed row directly: after shifting away (or
+Outside the mixed band the sum is a polynomial in p and costs no
+dynamic program over p.  With e = p*a_0 + q and d_j = a_j - a_0, every
+twist t + q lies in [e, p*a_n + q].  If e >= -m, every summand has
+h^0 = C(t+q+m, m) and h^m = 0; if p*a_n + q <= -1, every summand has h^0 = 0
+and h^m = (-1)^m C(t+q+m, m), a generalized binomial.  Either way the sum is
+P = sum_beta C(e + m + sum_j beta_j d_j, m), and Vandermonde together with
+sum_{|beta|=p} prod_j C(beta_j, k_j) = C(p+n, n+sum_j k_j) gives
+
+    P = sum_{s<=m} C(e+m, m-s) sum_K C(p+n, n+K) [y^s] h_K(v),
+
+h_K the complete homogeneous symmetric polynomial in v_j = (1+y)^{d_j} - 1.
+Since each v_j is divisible by y, only K <= min(m, p) and s <= m count, so
+the triangle [y^s] h_K(v) (:func:`_series`) depends on the scroll and
+min(m, p) only, and is cached.
+
+Inside the band, where the twists straddle [-m, -1], the histogram of the
+twists t is counted, without listing the compositions, by a dynamic
+program whose rows are packed into big integers, one field per twist
+(Kronecker substitution): O(n p) big-integer shift-adds.  h^0 and h^m of
+the sum are read off that packed row directly: after shifting away (or
 masking off) the fields whose twist lies on the wrong side, m+1 rounds of
 suffix (or prefix) sums by doubling, X += X >> s for s = f, 2f, 4f, ...,
 leave sum_i c_i C(i+r, r) in one end field after round r+1, and
@@ -35,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .scroll import ZERO, DivClass, Scroll
 
@@ -59,23 +76,36 @@ def pm_cohom(m: int, d: int) -> tuple[int, int]:
     return monomial_count(m, d), monomial_count(m, -d - 1 - m)
 
 
+# The Sym budgets below bound the packed kernel, which runs only for line
+# queries inside the mixed band and for the hook rows of Omega^i; the series
+# of the closed form outside the band has its own, SERIES_*_BUDGET.
+#
 # Most bytes one packed Sym^k table may take: (k+1) * (k*(a_n - a_0) + 1)
 # cells (k+1 rows, none longer than the last) times the field width w >= 1.
 # Near the budget a line query on P^1 peaked at 55 MB resident for n = 4
 # and 75 MB for n = 12 and 24 (64-bit CPython 3.11, 15 MB after import),
-# where a cell count let n = 24 reach 244 MB.  Every query of the tests,
-# verify and the benchmark is < 6*10^5 B.
+# where a cell count let n = 24 reach 244 MB.  Every in-band query and hook
+# of the tests, verify and the benchmark is < 6*10^5 B.
 SYM_CELL_BUDGET = 6 * 10**7
 
 # Most dynamic-program steps, one big-integer shift-add each, the Sym rows of
-# one query may take: n*k for Sym^k, so n*p for a line bundle and at most
-# (i+1)*n*p for the rows Sym^{p-i}..Sym^p of Omega^i(pH).  Where a_n = a_0
-# a row is one field, so the cell budget passes any k and the steps are the
-# cost: on P(O(1)^{n+1}) over P^1 (CPython 3.11.7, 2 vCPUs) a line query
-# took 2*10^6 steps (n = 2000, p = 1000) in 0.5 s CPU and 4*10^6 (n = 200,
-# p = 20000) in 1.0 s, and Omega^1000(1001H) at n = 2000, 2*10^9 steps, did
-# not answer in 30 s.
+# one query may take: n*k for Sym^k, so n*p for an in-band line query and at
+# most (i+1)*n*p for the rows Sym^{p-i}..Sym^p of Omega^i(pH).  Where
+# a_n = a_0 a row is one field, so the cell budget passes any k and the
+# steps are the cost: on P(O(1)^{n+1}) over P^1 (CPython 3.11.7, 2 vCPUs)
+# the Sym^p row took 2*10^6 steps (n = 2000, p = 1000) in 0.5 s CPU and
+# 4*10^6 (n = 200, p = 20000) in 1.0 s, and Omega^1000(1001H) at n = 2000,
+# 2*10^9 steps, did not answer in 30 s.
 SYM_STEP_BUDGET = 4 * 10**6
+
+# Most bytes the packed triangle of :func:`_series` may take, (K+1) rows of
+# S+1 fields times a field width wide enough for every coefficient, and most
+# steps, n*K products of a row by a packed v_j, where K = min(m, p).  At one
+# query its rows, fields, field width and steps never exceed those of the
+# kernel's Sym^p table, so with the kernel's budgets it refuses no query
+# the kernel would answer.
+SERIES_BYTE_BUDGET = SYM_CELL_BUDGET
+SERIES_STEP_BUDGET = SYM_STEP_BUDGET
 
 
 def _row_width(x: Scroll, k: int, mass: int, m: int, rows: int = 1) -> int:
@@ -116,6 +146,92 @@ def _sym_row(x: Scroll, k: int, w: int) -> int:
         for l in range(1, k + 1):
             rows[l] += rows[l - 1] << shift
     return rows[k]
+
+
+def _series_width(x: Scroll, top: int, S: int) -> int:
+    """Field width in bytes for the rows K = 0..top of :func:`_series`, S+1
+    fields each.  [y^s] h_K(v) is at most C(K+n-1, n-1) C(K*d_n, s), the
+    count of monomials of degree K times the coefficient of (1+y)^{K d_n},
+    so at most C(top+n, n) C(span, k) with span = top*d_n and
+    k = min(S, span // 2).  Raises ValueError when building the rows would
+    take more than SERIES_STEP_BUDGET steps, or the rows more than
+    SERIES_BYTE_BUDGET bytes, checked first against the floor
+    C(span, k) >= max(2, span // k)^k, so that no big binomial is computed
+    for a table that is refused anyway."""
+    if x.n * top > SERIES_STEP_BUDGET:
+        raise ValueError(f"the series h_K(v) for K <= {top} on this scroll needs up to {x.n * top} "
+                         f"dynamic-program steps, over the budget of {SERIES_STEP_BUDGET}")
+    span = top * (x.a[-1] - x.a[0])
+    k = min(S, span // 2)
+    cells = (top + 1) * (S + 1)
+    w = (k * max(1, (span // k).bit_length() - 1) + 8) // 8 if k else 1
+    if cells * w <= SERIES_BYTE_BUDGET:
+        w = ((comb(top + x.n, x.n) * comb(span, k)).bit_length() + 8) // 8
+        if cells * w <= SERIES_BYTE_BUDGET:
+            return w
+    raise ValueError(f"the series h_K(v) for K <= {top} on this scroll needs at least {cells * w} table bytes, "
+                     f"over the budget of {SERIES_BYTE_BUDGET}")
+
+
+@lru_cache(maxsize=1024)
+def _series(x: Scroll, top: int) -> tuple[tuple[int, ...], ...]:
+    """The triangle [y^s] h_K(v) for K = 0..min(top, S) and s = 0..S, with
+    S = min(m, top*(a_n - a_0)), h_K the complete homogeneous symmetric
+    polynomial in v_j = (1+y)^{a_j - a_0} - 1.  Terms with K > top or s > S
+    never reach :func:`_closed_form` at min(m, p) = top, and K > s
+    vanishes since each v_j is divisible by y.
+
+    The dynamic program of :func:`_sym_row`, with each row packed in y, one
+    field per power: adding v_j is rows[K] += rows[K-1] * v_j for K = 1..top,
+    each product cut back to S+1 fields.  Every coefficient is nonnegative
+    and fits its field (:func:`_series_width`), so fields at or below y^S
+    never carry, and what the cut drops cannot reach them."""
+    a0 = x.a[0]
+    S = min(x.m, top * (x.a[-1] - a0))
+    top = min(top, S)
+    if not top:
+        return ((1,),)  # h_0 = 1, and no power of y survives
+    w = _series_width(x, top, S)
+    f, size = 8 * w, (S + 1) * w
+    mask = (1 << 8 * size) - 1
+    rows, ks = [1] + [0] * top, range(1, top + 1)
+    d, v = 0, 0
+    for aj in x.a[1:]:
+        if aj - a0 != d:  # twists are sorted, so equal d_j come together
+            d, v = aj - a0, 0
+            for s in range(min(d, S), 0, -1):  # v_j packed by Horner's rule
+                v = (v + comb(d, s)) << f
+        if v:
+            for k in ks:
+                rows[k] += rows[k - 1] * v & mask
+    from_bytes, cuts = int.from_bytes, range(0, size, w)
+    unpacked = [(1,) + (0,) * S]
+    for row in rows[1:]:
+        raw = row.to_bytes(size, "little")
+        unpacked.append(tuple([from_bytes(raw[i:i + w], "little") for i in cuts]))
+    return tuple(unpacked)
+
+
+def _closed_form(x: Scroll, p: int, e: int) -> tuple[int, int]:
+    """(h^0, h^m) outside the mixed band, for p >= 0 and e = p*a_0 + q: the
+    sum over the weak compositions beta of p of C(e + m + D, m),
+    D = sum_j beta_j (a_j - a_0), is
+
+        P = sum_s C(e+m, m-s) U_s,  U_s = sum_K C(p+n, n+K) [y^s] h_K(v).
+
+    It is h^0 when e >= -m.  When p*a_n + q <= -1 it is (-1)^m h^m, with
+    C(e+m, m-s) the generalized binomial (-1)^{m-s} C(-e-1-s, m-s), so
+    h^m = sum_s (-1)^s C(-e-1-s, m-s) U_s.  See the module docstring."""
+    m, n = x.m, x.n
+    rows = _series(x, min(m, p))
+    if e >= -m:
+        col = [comb(e + m, j) for j in range(m, m - len(rows[0]), -1)]
+    else:
+        col = [(-1) ** s * comb(-e - 1 - s, m - s) for s in range(len(rows[0]))]
+    total = comb(p + n, n) * col[0]  # h_0 = 1
+    for k in range(1, len(rows)):
+        total += comb(p + n, n + k) * sum(map(mul, col, rows[k]))
+    return (total, 0) if e >= -m else (0, total)
 
 
 @lru_cache(maxsize=1024)
@@ -211,15 +327,22 @@ def add_tables(t1, t2) -> tuple[int, ...]:
 def line_cohom(x: Scroll, d: DivClass) -> tuple[int, ...]:
     """Cohomology table (h^0, ..., h^{n+m}) of O(d.p * H + d.q * F).  For
     p < -n it is the reversed table of the Serre-dual class
-    (-p-n-1, c-q-1-m), as in :func:`omega_cohom`."""
+    (-p-n-1, c-q-1-m), as in :func:`omega_cohom`.  For p >= 0 the closed
+    form :func:`_closed_form` answers outside the mixed band, where the
+    twists t + q all lie at or above -m or all at or below -1; the packed
+    kernel answers inside it."""
     p, q = d.p, d.q
     dual = p < -x.n
     if dual:
         p, q = -p - x.n - 1, x.c - q - 1 - x.m
     table = [0] * (x.dim + 1)
     if p >= 0:
-        w = _row_width(x, p, comb(p + x.n, x.n), x.m)
-        h0, hm = _packed_base_sum(x.m, _sym_row(x, p, w), w, p * x.a[0] + q)
+        e = p * x.a[0] + q
+        if e >= -x.m or p * x.a[-1] + q <= -1:
+            h0, hm = _closed_form(x, p, e)
+        else:  # the mixed band
+            w = _row_width(x, p, comb(p + x.n, x.n), x.m)
+            h0, hm = _packed_base_sum(x.m, _sym_row(x, p, w), w, e)
         table[0] += h0
         table[x.m] += hm
     return tuple(table[::-1] if dual else table)

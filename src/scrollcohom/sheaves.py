@@ -9,7 +9,9 @@ closed under twists and duals, piece by piece: O(T)^dual = O(-T) and
     (Omega^i)^dual = Omega^{n-i} <n+1, -c>,
 
 so the dual of Omega^i(T) is Omega^{n-i}((n+1, -c) - T).  Only the JSON and
-the printed name keep the spelling, split or omega, a sheaf was given in.
+the printed name keep the spelling, split or omega, a sheaf was given in; a
+sum with an Omega piece that is not spelled omega is written as its pieces,
+{"pieces": [[i, [p, q]], ...]}.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class SheafSpec:
     # read-only views in the split/omega spelling, None for the other one
     @property
     def split(self) -> SplitBundle | None:
-        return None if self.spelled_omega else SplitBundle(tuple(t for _, t in self.pieces))
+        if self.spelled_omega or any(i for i, _ in self.pieces):
+            return None
+        return SplitBundle(tuple(t for _, t in self.pieces))
 
     @property
     def omega_i(self) -> int | None:
@@ -61,12 +65,14 @@ class SheafSpec:
         return SheafSpec(tuple(pieces), self.spelled_omega and pieces[0][0] > 0)
 
     def describe(self) -> str:
-        return "+".join(f"Omega^{i}({t.p},{t.q})" if self.spelled_omega else f"O({t.p},{t.q})"
+        return "+".join(f"Omega^{i}({t.p},{t.q})" if self.spelled_omega or i else f"O({t.p},{t.q})"
                         for i, t in self.pieces)
 
     def to_json(self) -> dict:
         if self.spelled_omega:
             return {"omega": {"i": self.omega_i, "twist": self.omega_twist.to_json()}}
+        if self.split is None:
+            return {"pieces": [[i, t.to_json()] for i, t in self.pieces]}
         return {"split": [t.to_json() for _, t in self.pieces]}
 
     @staticmethod
@@ -74,11 +80,20 @@ class SheafSpec:
         try:
             if "split" in data:
                 return SheafSpec(tuple((0, DivClass.from_json(s)) for s in data["split"]))
+            if "pieces" in data:
+                return SheafSpec(tuple(_piece(piece) for piece in data["pieces"]))
             return SheafSpec.from_omega(json_int(data["omega"]["i"], "omega 'i'"),
                                         DivClass.from_json(data["omega"]["twist"]))
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"sheaf descriptor must look like {{'split':[[0,0]]}} or "
-                             f"{{'omega':{{'i':1,'twist':[0,0]}}}}: {exc}")
+            raise ValueError(f"sheaf descriptor must look like {{'split':[[0,0]]}}, "
+                             f"{{'omega':{{'i':1,'twist':[0,0]}}}} or {{'pieces':[[1,[0,0]],[0,[1,0]]]}}: {exc}")
+
+
+def _piece(data) -> tuple[int, DivClass]:
+    """One [i, [p, q]] entry of a {"pieces": ...} descriptor."""
+    if not (isinstance(data, list) and len(data) == 2):
+        raise ValueError(f"a sheaf piece must be an [i, [p, q]] pair, got {data!r}")
+    return json_int(data[0], "piece index i"), DivClass.from_json(data[1])
 
 
 @lru_cache(maxsize=2**14)

@@ -70,10 +70,15 @@ def _omega_cases(boxes) -> list:
 def _agree(suite: str, label: str, cases, route, reference) -> CheckResult:
     """The check that route(*case) == reference(*case) on every case, with
     one failure (case, got, want) per disagreement.  An empty case list
-    fails, so a filter slip cannot make the check pass vacuously."""
+    fails, so a filter slip cannot make the check pass vacuously.  A route
+    or reference that raises fails this check alone, at its first such
+    case, and the suite's other checks still run."""
     cases, bad = list(cases), []
     for case in cases:
-        got, want = route(*case), reference(*case)
+        try:
+            got, want = route(*case), reference(*case)
+        except Exception as exc:
+            return CheckResult(suite, label, False, f"raised on {case}: {type(exc).__name__}: {exc}")
         if got != want:
             bad.append((case, got, want))
     if not cases:
@@ -523,8 +528,9 @@ SUITES = {
 
 
 def run_suites(names=None) -> list[CheckResult]:
-    """Run the named suites (all by default).  A suite that raises is
-    recorded as one failed 'suite-raised' check and the rest still run."""
+    """Run the named suites (all by default).  A suite that raises outside
+    its checks, say while it builds a case list, is recorded as one failed
+    'suite-raised' check and the rest still run."""
     results = []
     for name in names or SUITES:
         try:

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from scrollcohom import DivClass
 from scrollcohom.cli import main
 
 SCROLL = '{"m":1,"n":1,"a":[1,2]}'
@@ -197,6 +198,39 @@ def test_reversed_range_is_an_error(capsys, tmp_path, argv, code, says):
     assert not out_dir.exists()
 
 
+def test_pieces_spelling_reaches_the_splitting_criteria(capsys):
+    # Omega^1(2,-1) + O(1,0), as the library's SheafSpec of those pieces gives it
+    from scrollcohom import SheafSpec, check_theorem, make_scroll
+    from scrollcohom.sweep import canon_json
+
+    sheaf = '{"pieces":[[1,[2,-1]],[0,[1,0]]]}'
+    code, out, err = run(capsys, "split", "--scroll", '{"m":1,"n":2,"a":[1,1,2]}', "--sheaf", sheaf,
+                         "--theorem", "2.1")
+    spec = SheafSpec(((1, DivClass(2, -1)), (0, DivClass(1, 0))))
+    assert (code, err) == (0, "")
+    assert out == canon_json(check_theorem(make_scroll(1, 2, [1, 1, 2]), spec, "2.1").to_json()) + "\n"
+    assert json.loads(out)["window"] == [-4, 0]
+    code, out, err = run(capsys, "cohom", "--scroll", '{"m":1,"n":2,"a":[1,1,2]}', "--sheaf", sheaf, "--oracle")
+    assert (code, out) == (2, "") and "split sheaves only" in err
+
+
+@pytest.mark.parametrize("sheaf, says", [
+    ('{"pieces":5}', "sheaf descriptor must look like"),
+    ('{"pieces":null}', "sheaf descriptor must look like"),
+    ('{"pieces":[1]}', "a sheaf piece must be an [i, [p, q]] pair, got 1"),
+    ('{"pieces":[[1]]}', "a sheaf piece must be an [i, [p, q]] pair, got [1]"),
+    ('{"pieces":[[1,[0,0],3]]}', "a sheaf piece must be an [i, [p, q]] pair"),
+    ('{"pieces":[["a",[0,0]]]}', "piece index i must be an integer"),
+    ('{"pieces":[[1,[0]]]}', "divisor class must be a two-element array"),
+    ('{"pieces":[]}', "at least one summand"),
+    ('{"pieces":[[7,[0,0]]]}', "cotangent power index 7 out of range"),
+], ids=["number", "null", "bare-int", "short", "long", "index", "twist", "empty", "index-range"])
+def test_malformed_pieces_are_an_error(capsys, sheaf, says):
+    code, out, err = run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", sheaf)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and says in err and err.count("\n") == 1
+
+
 # per subcommand: its own arguments, the same with one of them malformed
 # (None: nothing of its own to malform), and the message that one gives
 OWN_ARGS = {
@@ -279,16 +313,35 @@ def test_shared_parser_gives_identical_runs(capsys):
     assert build_parser() is build_parser()
 
 
-@pytest.mark.parametrize("sheaf, twist", [(O, "1000000,0"), (O, "-1000000,0"),
-                                          ('{"omega":{"i":1,"twist":[0,0]}}', "1000000,0")],
-                         ids=["line", "serre-dual", "omega"])
-def test_oversized_twist_is_refused_quickly(capsys, sheaf, twist):
-    # the symmetric-power table would need terabytes; it is refused up front
+@pytest.mark.parametrize("sheaf, twist, want", [
+    (O, "1000000,0", '{"h":[1500002500001,0,0]}\n'),
+    (O, "-1000000,0", '{"h":[0,0,1499997500001]}\n'),
+    ('{"omega":{"i":1,"twist":[0,0]}}', "1000000,0", None)], ids=["line", "serre-dual", "omega"])
+def test_oversized_twist_is_refused_quickly(capsys, sheaf, twist, want):
+    # a line bundle at p = 10^6 (and its Serre dual) lies outside the mixed
+    # band and is answered exactly by the closed form, whose series stops at
+    # min(m, p) = 1; the hook's symmetric-power table of Omega^1 would need
+    # terabytes and is refused up front
     t0 = time.process_time()
     code, out, err = run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", sheaf, f"--twist={twist}")
+    if want is None:
+        assert time.process_time() - t0 < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "budget" in err
+    else:
+        assert time.process_time() - t0 < 0.01
+        assert (code, out, err) == (0, want, "")
+
+
+def test_oversized_series_is_refused_quickly(capsys):
+    # O(20000H) over P^20000 lies outside the band, but the series up to
+    # min(m, p) = 20000 would need 20001^2 fields; it is refused before any is built
+    t0 = time.process_time()
+    code, out, err = run(capsys, "cohom", "--scroll", json.dumps({"m": 20000, "n": 1, "a": [1, 2]}),
+                         "--sheaf", O, "--twist=20000,0")
     assert time.process_time() - t0 < 1
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "budget" in err
+    assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
 
 
 WIDE_BASE = json.dumps({"m": 200000, "n": 1, "a": [1, 2]})
@@ -362,10 +415,11 @@ def test_wide_scan_is_answered_quickly(capsys, scan, want):
 
 
 def test_wide_table_is_refused_by_bytes(capsys):
-    # Sym^3000 at n = 24 with a_n - a_0 = 1: 9*10^6 cells of 25-byte fields
+    # Sym^3000 at n = 24 with a_n - a_0 = 1: 9*10^6 cells of 25-byte fields.
+    # q = -4500 puts the twists t + q in -1500..1500, in the mixed band
     scroll = json.dumps({"m": 1, "n": 24, "a": [1] * 24 + [2]})
     t0 = time.process_time()
-    code, out, err = run(capsys, "cohom", "--scroll", scroll, "--sheaf", O, "--twist=3000,0")
+    code, out, err = run(capsys, "cohom", "--scroll", scroll, "--sheaf", O, "--twist=3000,-4500")
     assert time.process_time() - t0 < 1
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "budget" in err
@@ -374,8 +428,9 @@ def test_wide_table_is_refused_by_bytes(capsys):
 def test_row_wide_enough_for_the_base_sum_is_refused(capsys):
     # Sym^5000 on O(1)+O(2): 5001^2 cells.  Its counts fit in 2-byte fields
     # (50,020,002 B, under the budget), but the m+1 rounds of sums over P^1
-    # reach 5001^2 and need 4-byte fields (100,040,004 B)
-    code, out, err = run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", O, "--twist=5000,0")
+    # reach 5001^2 and need 4-byte fields (100,040,004 B).  q = -7500 puts
+    # the twists -2500..2500 in the band; the width does not read q
+    code, out, err = run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", O, "--twist=5000,-7500")
     assert code == 1 and out == ""
     assert err == ("error: Sym^5000 on this scroll needs at least 100040004 table bytes, "
                    "over the budget of 60000000\n")

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -64,13 +65,16 @@ def test_sym_twists_budget_counts_bytes(monkeypatch):
 
 
 def test_step_budget_counts_every_sym_row(monkeypatch):
-    # on O(1)^4 every Sym row is one field, so only the steps bound the work:
-    # n*p for a line bundle, (i+1)*n*p for the i+1 rows of Omega^i(pH)
-    x = make_scroll(1, 3, [1, 1, 1, 1])
+    # n*p steps for an in-band line bundle, (i+1)*n*p for the i+1 rows of
+    # Omega^i(pH).  On O(1)^3+O(2) over P^1, q = -20 puts the twists t + q
+    # of Sym^14 and Sym^15 on both sides of -1, in the band; on O(1)^4 every
+    # Sym row is one field, so only the steps bound the hook's work
+    y = make_scroll(1, 3, [1, 1, 1, 2])
     monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 42)
-    assert cohomology.line_cohom.__wrapped__(x, DivClass(14, 0)) == line_cohom(x, DivClass(14, 0))
+    assert cohomology.line_cohom.__wrapped__(y, DivClass(14, -20)) == _line_by_pm_cohom(y, DivClass(14, -20))
     with pytest.raises(ValueError, match="^Sym\\^15 on this scroll needs up to 45 dynamic-program steps"):
-        cohomology.line_cohom.__wrapped__(x, DivClass(15, 0))
+        cohomology.line_cohom.__wrapped__(y, DivClass(15, -20))
+    x = make_scroll(1, 3, [1, 1, 1, 1])
     cohomology._hook_row.__wrapped__(x, 1, 7)
     with pytest.raises(ValueError, match="needs up to 48 dynamic-program steps, over the budget of 42$"):
         cohomology._hook_row.__wrapped__(x, 1, 8)
@@ -118,6 +122,50 @@ def test_line_cohom_high_degree():
         d = x.divclass(p, -7)
         t1, t2 = line_cohom(x, d), line_cohom(x, x.serre_dual_twist(d))
         assert any(t1) and all(t1[i] == t2[x.dim - i] for i in range(x.dim + 1))
+
+
+def _kernel(x, d):
+    # the packed kernel at p >= 0, whichever side of the band (p, q) lies on
+    w = cohomology._row_width(x, d.p, choose(d.p + x.n, x.n), x.m)
+    h0, hm = cohomology._packed_base_sum(x.m, cohomology._sym_row(x, d.p, w), w, d.p * x.a[0] + d.q)
+    return (h0,) + (0,) * (x.m - 1) + (hm,) + (0,) * x.n if x.m else (h0 + hm,) + (0,) * x.n
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(x=scrolls(), p=st.integers(0, 40), q=st.integers(-60, 60))
+def test_closed_form_matches_the_kernel(x, p, q):
+    # outside the band line_cohom takes the closed form; the kernel answers everywhere
+    d = DivClass(p, q)
+    assert cohomology.line_cohom.__wrapped__(x, d) == _kernel(x, d)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_closed_form_on_a_wide_base_stops_at_min_m_p(p):
+    # the series runs to min(m, p), not to m = 3000; both queries lie
+    # outside the band (e = p >= -m)
+    x = make_scroll(3000, 1, [1, 2])
+    for q in (0, -3000 - p, -3001 - 2 * p):
+        d = DivClass(p, q)
+        t0 = time.process_time()
+        got = cohomology.line_cohom.__wrapped__(x, d)
+        assert time.process_time() - t0 < 0.1
+        assert got == _kernel(x, d), q
+
+
+def test_series_budgets(monkeypatch):
+    # on P(O(1)+O(2)) over P^3, the series to K = 3: 4 rows of S+1 = 4 fields,
+    # each coefficient at most C(4, 1) C(3, 1) = 12, so 1-byte fields; n*K = 3 steps
+    x = make_scroll(3, 1, [1, 2])
+    monkeypatch.setattr(cohomology, "SERIES_BYTE_BUDGET", 16)
+    monkeypatch.setattr(cohomology, "SERIES_STEP_BUDGET", 3)
+    assert cohomology._series.__wrapped__(x, 3) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(cohomology, "SERIES_BYTE_BUDGET", 15)
+    with pytest.raises(ValueError, match="^the series h_K\\(v\\) for K <= 3 on this scroll needs at least 16 "
+                                         "table bytes, over the budget of 15$"):
+        cohomology._series.__wrapped__(x, 3)
+    monkeypatch.setattr(cohomology, "SERIES_STEP_BUDGET", 2)
+    with pytest.raises(ValueError, match="needs up to 3 dynamic-program steps, over the budget of 2$"):
+        cohomology._series.__wrapped__(x, 3)
 
 
 def _line_by_pm_cohom(x, d):
@@ -175,9 +223,19 @@ def band_edge_queries(draw):
 @example(query=(make_scroll(2, 1, [3, 3]), 2**16, -3 * 2**16 - 3, 1, True))  # past two bytes
 @example(query=(make_scroll(1, 6, [1] * 7), 100, -102, 3, False))  # C(106, 6) > 2^30
 @example(query=(make_scroll(3, 4, [-4, -1, 0, 2, 5]), 60, -62, 4, True))  # sums past four bytes
+# exactly at the region edges, e = p*a_0 + q in {-m, -m-1} and p*a_n + q in {-1, 0}
+@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -8, 1, False))  # e = -m: closed form, h^0
+@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -9, 1, True))  # e = -m-1: band
+@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -21, 2, True))  # p*a_n + q = -1: closed form, h^m
+@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -20, 2, False))  # p*a_n + q = 0: band
+@example(query=(make_scroll(0, 2, [-1, 0, 3]), 7, 7, 1, True))  # m = 0, e = 0
+@example(query=(make_scroll(0, 2, [-1, 0, 3]), 7, 6, 1, False))  # m = 0, e = -1
+@example(query=(make_scroll(0, 2, [-1, 0, 3]), 7, -22, 2, False))  # m = 0, p*a_n + q = -1
+@example(query=(make_scroll(0, 2, [-1, 0, 3]), 7, -21, 2, True))  # m = 0, p*a_n + q = 0
 def test_packed_sums_match_written_out_references(query):
-    # the packed kernel against the histograms summed term by term, on
-    # both sides of each band edge and on the Serre-dual side
+    # the closed form outside the band and the packed kernel inside it
+    # against the histograms summed term by term, on both sides of each
+    # edge and on the Serre-dual side
     x, p, q, i, dual = query
     d = DivClass(-p - x.n - 1, x.c - q - 1 - x.m) if dual else DivClass(p, q)
     assert line_cohom(x, d) == _line_by_pm_cohom(x, d)
@@ -187,23 +245,33 @@ def test_packed_sums_match_written_out_references(query):
 
 def test_second_routes_skip_the_base_sum(monkeypatch):
     # the character oracle and hypercohomology check line_cohom and
-    # omega_cohom, so neither may share their packed-row sum
+    # omega_cohom, so neither may share their packed-row sum, nor the
+    # closed form and its series outside the band
     from scrollcohom.characters import character_cohom
     from scrollcohom.complexes import single_term_complex
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a second route reached cohomology._packed_base_sum")
+    def forbid(name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"a second route reached cohomology.{name}")
+        monkeypatch.setattr(cohomology, name, forbidden)
 
-    monkeypatch.setattr(cohomology, "_packed_base_sum", forbidden)
+    for name in ("_packed_base_sum", "_closed_form", "_series", "_series_width"):
+        forbid(name)
     for p in (-4, -1, 0, 2):
-        d = DivClass(p, 1)
-        assert character_cohom(X12, d) == hypercohom(X12, single_term_complex(X12, d))
+        for q in (-4, 1):
+            d = DivClass(p, q)
+            assert character_cohom(X12, d) == hypercohom(X12, single_term_complex(X12, d))
     for i in (0, 1):
         t = DivClass(3, -2)
         assert (hypercohom(X12, cotangent_resolution_left(X12, i).twist(t))
                 == hypercohom(X12, cotangent_resolution_right(X12, i).twist(t)))
-    with pytest.raises(AssertionError, match="second route"):
-        line_cohom.__wrapped__(X12, DivClass(2, 1))
+    # on X12 at p = 2, q = -4 is the one twist in the band: -3 and -5 are
+    # answered by the closed form
+    with pytest.raises(AssertionError, match="second route reached cohomology._packed_base_sum"):
+        line_cohom.__wrapped__(X12, DivClass(2, -4))
+    for q in (-5, -3, 1):
+        with pytest.raises(AssertionError, match="second route reached cohomology._closed_form"):
+            line_cohom.__wrapped__(X12, DivClass(2, q))
 
 
 def test_line_cohom_frozen_values():

@@ -47,6 +47,7 @@ def test_dual_is_piecewise():
 @pytest.mark.parametrize("data", [
     {"split": [[0, 0]]}, {"split": [[0, 2], [1, -1], [1, -1]]},
     {"omega": {"i": 0, "twist": [1, -1]}}, {"omega": {"i": 2, "twist": [3, -3]}},
+    {"pieces": [[0, [1, 0]], [1, [2, -1]]]},
 ], ids=str)
 def test_json_round_trip(data):
     spec = SheafSpec.from_json(data)
@@ -66,3 +67,18 @@ def test_pieces_are_sorted_and_keep_the_spelling():
     assert (line.omega_i, omega.omega_i, omega.omega_twist) == (None, 0, DivClass(1, -1))
     with pytest.raises(ValueError, match="at least one summand"):
         SheafSpec.from_json({"split": []})
+
+
+def test_pieces_spelling_sums_omega_and_line_pieces():
+    x = FAMILY[1]  # P(O(1)+O(1)+O(2)) over P^1
+    spec = SheafSpec.from_json({"pieces": [[1, [2, -1]], [0, [1, 0]]]})
+    assert spec == SheafSpec(((1, DivClass(2, -1)), (0, DivClass(1, 0))))
+    assert (spec.describe(), spec.split, spec.omega_i) == ("O(1,0)+Omega^1(2,-1)", None, None)
+    for t in BOX:
+        assert sheaf_cohom(x, spec, t) == tuple(
+            a + b for a, b in zip(sheaf_cohom(x, SheafSpec.from_omega(1, DivClass(2, -1)), t),
+                                  sheaf_cohom(x, SheafSpec.from_split([(1, 0)]), t)))
+    # line pieces alone are a split bundle, and are written as one
+    lines = SheafSpec.from_json({"pieces": [[0, [1, 0]], [0, [0, 2]]]})
+    assert lines == SheafSpec.from_split([(1, 0), (0, 2)])
+    assert lines.to_json() == {"split": [[0, 2], [1, 0]]}

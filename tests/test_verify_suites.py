@@ -70,3 +70,23 @@ def test_agree_reports_case_got_want():
     assert not res.ok
     assert res.detail == "3 failures; first: ((1,), 1, 2)"
     assert _agree("s", "same", [(1, 2), (3, 4)], lambda a, b: a + b, lambda a, b: b + a).ok
+
+
+def test_a_raising_check_fails_alone(monkeypatch):
+    # verify binds hypercohom at import, so the stand-in goes there; the
+    # uncached _omega_tables keeps earlier results from hiding it
+    from scrollcohom import verify
+
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "hypercohom", broken)
+    monkeypatch.setattr(verify, "_omega_tables", verify._omega_tables.__wrapped__)
+    results = run_suites(["koszul"])
+    assert [r.label for r in results] == [label for suite, label in CHECKS if suite == "koszul"]
+    failed = {r.label: r.detail for r in results if not r.ok}
+    assert sorted(failed) == ["euler-presents-relative-cotangent", "exact-complexes-acyclic",
+                              "rank-one-cotangent-is-line-bundle", "resolution-route-agreement",
+                              "single-term-matches-line", "top-cotangent-is-relative-canonical"]
+    assert all(detail.startswith("raised on (") and detail.endswith("RuntimeError: boom")
+               for detail in failed.values())
