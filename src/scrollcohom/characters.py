@@ -29,15 +29,14 @@ forms.  No production module imports this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cohomology import SplitBundle, monomial_count
 from .scroll import ZERO, DivClass, Scroll
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """Exponent vector of a Laurent monomial x^alpha * y^beta."""
 
     alpha: tuple[int, ...]

@@ -44,7 +44,7 @@ spot-checks this on excluded classes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .characters import enumerate_contributing, valid_rows
 # omega_cohom is re-exported: bench/tracer.py wraps it as complexes.omega_cohom
@@ -53,14 +53,12 @@ from .linalg import rank_int
 from .scroll import DivClass, Scroll
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     cls: DivClass
     rep: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MonomialComplex:
+class MonomialComplex(NamedTuple):
     """A bounded complex of sums of line bundles with signed monomial maps.
 
     terms[k] maps to terms[k+1]; term k sits in cohomological degree
@@ -71,7 +69,7 @@ class MonomialComplex:
     x: Scroll
     start_pos: int
     terms: tuple[tuple[Summand, ...], ...]
-    diffs: tuple[tuple[tuple[int, int, int, tuple[int, ...]], ...], ...] = field(default=())
+    diffs: tuple[tuple[tuple[int, int, int, tuple[int, ...]], ...], ...] = ()
 
     @property
     def positions(self) -> tuple[int, ...]:

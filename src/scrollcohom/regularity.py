@@ -24,15 +24,14 @@ not conversely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec, sheaf_h
 from .windows import INF, Cond, h_intervals
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     label: str
     degree: int
     i: int
@@ -45,8 +44,7 @@ class Failure:
                 "j": self.j, "twist": self.twist.to_json(), "h": self.value}
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     kind: str
     target: tuple[int, int]
     verdict: bool
@@ -124,7 +122,7 @@ def rns_is_pq_regular(x: Scroll, spec: SheafSpec, p: int, q: int) -> RegularityR
     the pq conditions with the j = 0 row of (b) relabelled."""
     if x.m != 1:
         raise ValueError("the rational normal scroll form needs base dimension 1")
-    conds = [replace(c, label="c") if c.label == "b" and c.idx[1] == 0 else c for c in pq_conditions(x)]
+    conds = [c._replace(label="c") if c.label == "b" and c.idx[1] == 0 else c for c in pq_conditions(x)]
     return _run_conditions(x, spec, conds, p, q, "rns-pq")
 
 
@@ -147,8 +145,7 @@ def is_ms_regular(x: Scroll, spec: SheafSpec, p: int, q: int) -> RegularityRepor
     return _run_conditions(x, spec, ms_conditions(x), p, q, "ms")
 
 
-@dataclass(frozen=True)
-class RegResult:
+class RegResult(NamedTuple):
     value: int | None
     monotone_verified: bool
     scan: tuple[int, int]
@@ -200,16 +197,14 @@ def reg(x: Scroll, spec: SheafSpec) -> int | None:
     return reg_detail(x, spec).value
 
 
-@dataclass(frozen=True)
-class ComparePoint:
+class ComparePoint(NamedTuple):
     p: int
     q: int
     ms: bool
     pq: bool
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     points: tuple[ComparePoint, ...]
     separations: tuple[tuple[int, int], ...]  # ms false, pq true
     violations: tuple[tuple[int, int], ...]   # ms true, pq false (must be empty)

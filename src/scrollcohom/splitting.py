@@ -53,10 +53,10 @@ every condition at every t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
 from .cohomology import SplitBundle, subset_sums
 from .regularity import RegResult, check_family, reg_detail
@@ -67,8 +67,7 @@ from .windows import Cond, eval_cond, hull, side_lookup, window_pass
 THEOREM_IDS = ("2.1", "2.2", "2.3", "c2.5", "c2.6", "c2.7")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     condition: str
     t: int | None
     indices: tuple
@@ -81,16 +80,14 @@ class Witness:
                 "twist": self.twist.to_json(), "side": self.side, "h": self.value}
 
 
-@dataclass(frozen=True)
-class CaseFired:
+class CaseFired(NamedTuple):
     case: str
     i: int | None
     value: int
     conclusion: str
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(NamedTuple):
     theorem: str
     verdict: bool
     witnesses: tuple[Witness, ...]

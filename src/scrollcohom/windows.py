@@ -30,8 +30,8 @@ per-piece tables that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cohomology import check_omega_index
 from .scroll import DivClass, Scroll
@@ -40,8 +40,7 @@ from .sheaves import SheafSpec, sheaf_h
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Cond:
+class Cond(NamedTuple):
     """One vanishing requirement h^k((E or its dual)<t + dp, dq>) = 0."""
 
     label: str
@@ -142,8 +141,8 @@ def window_pass(x: Scroll, spec: SheafSpec, conds: list[Cond], sides=None) -> tu
 
 def hull(spans) -> tuple[int, int]:
     """The least (lo, hi), as ints, that contains every (lo, hi) of spans."""
-    spans = list(spans)
-    return int(min(lo for lo, _ in spans)), int(max(hi for _, hi in spans))
+    los, his = zip(*spans)
+    return int(min(los)), int(max(his))
 
 
 def nonvanishing_window(x: Scroll, spec: SheafSpec, conds: list[Cond]) -> tuple[int, int]:
