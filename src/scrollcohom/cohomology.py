@@ -1,49 +1,36 @@
-"""Closed-form cohomology of line bundles, split bundles and twisted
-relative cotangent powers on a scroll.
+"""Cohomology of line bundles, split bundles and twisted relative cotangent
+powers on a scroll, by one rule: chi plus the shorter side.
 
 The pushforward of O(pH + qF) to the base is Sym^p(V)(q) when p >= 0, a sum
-of line bundles O(t + q), one per weak composition of p.  Cohomology therefore
-sits in degrees 0 and m for p >= 0, vanishes for -n <= p < 0, and for p < -n
-is computed by relative duality from Sym^{-p-n-1}(V)(c-q-1-m), landing in
-degrees n and n+m.
+of line bundles O(e + D) on P^m, one per weak composition beta of p, with
+e = p*a_0 + q and D = sum_j beta_j (a_j - a_0).  Cohomology therefore sits
+in degrees 0 and m for p >= 0, vanishes for -n <= p < 0, and for p < -n is
+computed by relative duality from Sym^{-p-n-1}(V)(c-q-1-m), landing in
+degrees n and n+m.  For p > i, pi_* Omega^i(pH) (Bott's formula on the
+fibre P^n) is such a sum too, the hook sum_{s<=i} (-1)^{i-s} Lambda^s(V)
+(x) Sym^{p-s}(V), and is answered alike.
 
-Outside the mixed band the sum is a polynomial in p and costs no
-dynamic program over p.  With e = p*a_0 + q and d_j = a_j - a_0, every
-twist t + q lies in [e, p*a_n + q].  If e >= -m, every summand has
-h^0 = C(t+q+m, m) and h^m = 0; if p*a_n + q <= -1, every summand has h^0 = 0
-and h^m = (-1)^m C(t+q+m, m), a generalized binomial.  Either way the sum is
-P = sum_beta C(e + m + sum_j beta_j d_j, m), and Vandermonde together with
-sum_{|beta|=p} prod_j C(beta_j, k_j) = C(p+n, n+sum_j k_j) gives
+chi = h^0 + (-1)^m h^m = sum_D c_D C(e + D + m, m), with the generalized
+binomial since C(k+m, m) vanishes at k = -m..-1, is sum_{r<=m} C(e+m, m-r)
+M_r by Vandermonde, M_r = sum_D c_D C(D, r).  For Sym^p,
+M_r = sum_K C(p+n, n+K) [y^r] h_K(v), h_K the complete homogeneous
+symmetric polynomial in v_j = (1+y)^{a_j - a_0} - 1; each v_j is divisible
+by y, so only K <= min(m, p) counts, and the triangle :func:`_series`
+depends on the scroll and min(m, p) only.  A hook's moments, cached per
+(x, i, p), add the subset sums of :func:`subset_sums` (:func:`_moments`).
 
-    P = sum_{s<=m} C(e+m, m-s) sum_K C(p+n, n+K) [y^s] h_K(v),
+h^m reads the fields D <= N_m = -e-m-1, each giving C(N_m - D + m, m); h^0
+reads the same form up to N_0 = p*a_n + q on the reflected twists
+a_n - a_j, those of the scroll with negated twists (:func:`_mirror`).  Only
+the side with the smaller N is computed, and the other comes from chi; a
+side with N < 0 is empty.  The side's histogram is a dynamic program whose
+rows are packed into big integers, one field per D (Kronecker
+substitution), cut to N+1 fields (:func:`_sym_row`), and m+1 rounds of
+prefix sums by doubling leave the side in the top field (:func:`_scan`):
+no Python loop runs over the fields.
 
-h_K the complete homogeneous symmetric polynomial in v_j = (1+y)^{d_j} - 1.
-Since each v_j is divisible by y, only K <= min(m, p) and s <= m count, so
-the triangle [y^s] h_K(v) (:func:`_series`) depends on the scroll and
-min(m, p) only, and is cached.
-
-Inside the band, where the twists straddle [-m, -1], the histogram of the
-twists t is counted, without listing the compositions, by a dynamic
-program whose rows are packed into big integers, one field per twist
-(Kronecker substitution): O(n p) big-integer shift-adds.  h^0 and h^m of
-the sum are read off that packed row directly: after shifting away (or
-masking off) the fields whose twist lies on the wrong side, m+1 rounds of
-suffix (or prefix) sums by doubling, X += X >> s for s = f, 2f, 4f, ...,
-leave sum_i c_i C(i+r, r) in one end field after round r+1, and
-Vandermonde's identity turns these m+1 numbers into the sum of the
-binomials C(t+q+m, m) (or C(-t-q-1, m)).  The fields are wide enough that
-no partial sum carries, so no Python loop runs over the fields.
-
-Omega^i(pH + qF), the i-th exterior power of the relative cotangent bundle,
-is read off Bott's formula on the fibre P^n: its pushforward lives in one
-degree (0 for p > i, i for p = 0, n for p < i - n), and is again a sum of
-line bundles.  For p > i its packed row is an alternating sum of packed
-Sym^{p-s} rows times the packed subset sums a_I of :func:`subset_sums`, one
-big-integer product each, read off by the same kernel.  Tables are plain
-tuples of length n+m+1.
-
-All dimension arithmetic is unbounded-integer exact; binomials come from
-:func:`math.comb`.
+Tables are plain tuples of length n+m+1.  All dimension arithmetic is
+unbounded-integer exact; binomials come from :func:`math.comb`.
 """
 
 from __future__ import annotations
@@ -76,76 +63,96 @@ def pm_cohom(m: int, d: int) -> tuple[int, int]:
     return monomial_count(m, d), monomial_count(m, -d - 1 - m)
 
 
-# The Sym budgets below bound the packed kernel, which runs only for line
-# queries inside the mixed band and for the hook rows of Omega^i; the series
-# of the closed form outside the band has its own, SERIES_*_BUDGET.
+# The Sym budgets below bound the packed rows of a short side, which
+# :func:`_short_side` builds for line queries and hooks whose twists
+# straddle -m..-1; the series of chi has its own, SERIES_*_BUDGET.
 #
-# Most bytes one packed Sym^k table may take: (k+1) * (k*(a_n - a_0) + 1)
-# cells (k+1 rows, none longer than the last) times the field width w >= 1.
-# Near the budget a line query on P^1 peaked at 55 MB resident for n = 4
-# and 75 MB for n = 12 and 24 (64-bit CPython 3.11, 15 MB after import),
-# where a cell count let n = 24 reach 244 MB.  Every in-band query and hook
-# of the tests, verify and the benchmark is < 6*10^5 B.
+# Most bytes one packed table may take: (K+1) rows of N+1 cells, N the
+# side's cut and K its most parts on nonzero gaps, times the field width
+# w >= 1.  Near the budget a line query on P^1 peaked at 55 MB resident for
+# n = 4 and 75 MB for n = 12 and 24 (64-bit CPython 3.11, 15 MB after
+# import), where a cell count let n = 24 reach 244 MB.  Every in-band query
+# and hook of the tests, verify and the benchmark is < 6*10^5 B.
 SYM_CELL_BUDGET = 6 * 10**7
 
 # Most dynamic-program steps, one big-integer shift-add each, the Sym rows of
-# one query may take: n*k for Sym^k, so n*p for an in-band line query and at
-# most (i+1)*n*p for the rows Sym^{p-i}..Sym^p of Omega^i(pH).  Where
-# a_n = a_0 a row is one field, so the cell budget passes any k and the
-# steps are the cost: on P(O(1)^{n+1}) over P^1 (CPython 3.11.7, 2 vCPUs)
-# the Sym^p row took 2*10^6 steps (n = 2000, p = 1000) in 0.5 s CPU and
-# 4*10^6 (n = 200, p = 20000) in 1.0 s, and Omega^1000(1001H) at n = 2000,
-# 2*10^9 steps, did not answer in 30 s.
+# one query may take, (number of nonzero gaps)*K per row and i+1 rows for
+# Omega^i(pH), and most steps, (n+1)*i, of the subset sums a hook reads.  A
+# step costs in proportion to its row's bytes: on P(O(1)+O(2)^{10000}) over
+# P^1 (CPython 3.11.7, 2 vCPUs) O(402H - 604F) took 2*10^6 steps on rows of
+# 201 fields of 308 bytes, 33 s CPU.
 SYM_STEP_BUDGET = 4 * 10**6
 
 # Most bytes the packed triangle of :func:`_series` may take, (K+1) rows of
 # S+1 fields times a field width wide enough for every coefficient, and most
 # steps, n*K products of a row by a packed v_j, where K = min(m, p).  At one
 # query its rows, fields, field width and steps never exceed those of the
-# kernel's Sym^p table, so with the kernel's budgets it refuses no query
-# the kernel would answer.
+# full Sym^p table: where it refuses, so would the Sym budgets on that table.
 SERIES_BYTE_BUDGET = SYM_CELL_BUDGET
 SERIES_STEP_BUDGET = SYM_STEP_BUDGET
 
 
-def _row_width(x: Scroll, k: int, mass: int, m: int, rows: int = 1) -> int:
-    """Field width in bytes for packed rows of Sym^k length, L = k*(a_n - a_0)
-    + 1 fields, holding `mass` summands in all, so that no field carries
-    through m+1 rounds of prefix or suffix sums: after round r+1 no field
-    exceeds mass * C(L-1+r, r).  m = 0 also sizes the bare histogram.
-    Raises ValueError when a table of k+1 such rows would exceed
-    SYM_CELL_BUDGET bytes, or when building `rows` tables up to Sym^k
-    would exceed SYM_STEP_BUDGET steps.  Kept out of the cached
-    :func:`_sym_row`, so that a row cached under one budget is still
-    checked against another."""
-    length = k * (x.a[-1] - x.a[0]) + 1
-    cells = (k + 1) * length
-    w = ((mass * comb(length - 1 + m, m)).bit_length() + 8) // 8
-    if cells * w > SYM_CELL_BUDGET:
-        raise ValueError(f"Sym^{k} on this scroll needs at least {cells * w} table bytes, "
-                         f"over the budget of {SYM_CELL_BUDGET}")
-    if rows * x.n * k > SYM_STEP_BUDGET:
-        raise ValueError(f"Sym^{k} on this scroll needs up to {rows * x.n * k} dynamic-program steps, "
-                         f"over the budget of {SYM_STEP_BUDGET}")
-    return w
+def _gbinom(y: int, m: int, count: int) -> list[int]:
+    """The generalized binomials C(y, m - r) for r < count, where
+    C(y, k) = y(y-1)...(y-k+1)/k! = (-1)^k C(k-y-1, k) for y < 0."""
+    if y >= 0:
+        return [comb(y, k) for k in range(m, m - count, -1)]
+    return [(-1) ** k * comb(k - y - 1, k) for k in range(m, m - count, -1)]
 
 
 @lru_cache(maxsize=1024)
-def _sym_row(x: Scroll, k: int, w: int) -> int:
-    """The twist histogram of Sym^k(V) packed in one integer (Kronecker
-    substitution): field j, w bytes wide, counts the weak compositions beta
-    of k with beta . a = k*a_0 + j, i.e. the coefficient of u^k z^{k a_0 + j}
-    in prod_j 1/(1 - u z^{a_j}).  Each row of the dynamic program is one such
-    integer, so adding a variable is one shift-add per row: O(n k)
-    big-integer shift-adds.  The caller sizes w with :func:`_row_width`."""
-    a0 = x.a[0]
-    # rows[l], field s: compositions of l over the variables so far with twist l*a_0 + s
-    rows = [1] * (k + 1)
-    for aj in x.a[1:]:
-        shift = 8 * w * (aj - a0)
-        for l in range(1, k + 1):
-            rows[l] += rows[l - 1] << shift
-    return rows[k]
+def _mirror(x: Scroll) -> Scroll:
+    """The scroll with twists -a_j: its gaps are x's reflected ones a_n - a_j,
+    and its subset sums of size s are -a_I, so s*a_n - a_I in gap terms."""
+    return Scroll(x.m, x.n, tuple(-aj for aj in x.a))
+
+
+def _row_width(gaps: tuple[int, ...], i: int, p: int, top: int, m: int) -> int:
+    """Field width in bytes for the rows Sym^{p-s}, s <= i, of :func:`_sym_row`
+    cut to top+1 fields, so that no field of their sum_s C(n+1, s) C(p-s+n, n)
+    summands carries through m+1 rounds of prefix sums, after which a field
+    is at most that mass times C(top+m, m); m = 0 sizes the bare histogram.
+    Raises ValueError past SYM_STEP_BUDGET steps or SYM_CELL_BUDGET bytes,
+    checked before any binomial is computed, and outside the cached
+    :func:`_sym_row`, so that a row cached under one budget is still
+    checked against another."""
+    n, z = len(gaps) - 1, gaps.count(0)
+    parts = min(p, top // gaps[z]) if z <= n else 0
+    steps = (i + 1) * (n + 1 - z) * parts
+    if steps > SYM_STEP_BUDGET:
+        raise ValueError(f"Sym^{p} on this scroll needs up to {steps} dynamic-program steps, "
+                         f"over the budget of {SYM_STEP_BUDGET}")
+    cells, w = (parts + 1) * (top + 1), 1
+    if cells <= SYM_CELL_BUDGET:
+        mass = sum(comb(n + 1, s) * comb(p - s + n, n) for s in range(i + 1))
+        w = ((mass * comb(top + m, m)).bit_length() + 8) // 8
+        if cells * w <= SYM_CELL_BUDGET:
+            return w
+    raise ValueError(f"Sym^{p} on this scroll needs at least {cells * w} table bytes, "
+                     f"over the budget of {SYM_CELL_BUDGET}")
+
+
+@lru_cache(maxsize=1024)
+def _sym_row(gaps: tuple[int, ...], k: int, top: int, w: int) -> int:
+    """Fields 0..top of the histogram of D = beta . gaps over the weak
+    compositions beta of k, packed in one integer (Kronecker substitution):
+    field D, w bytes wide, counts the beta with that D.  gaps is sorted and
+    starts with z >= 1 zeros.  A beta whose parts on the nonzero gaps sum
+    to l has D >= l*g, g the least nonzero gap, so only l <= K =
+    min(k, top // g) reach the cut: the dynamic program over the nonzero
+    gaps builds rows[l], their compositions of l, one shift-add per row and
+    gap, each cut back to top+1 fields, and the zero gaps take the other
+    k - l parts in C(k-l+z-1, z-1) ways.  The caller sizes w with
+    :func:`_row_width`."""
+    z = gaps.count(0)
+    f, parts = 8 * w, min(k, top // gaps[z]) if z < len(gaps) else 0
+    mask = (1 << f * (top + 1)) - 1
+    rows = [1] + [0] * parts
+    for g in gaps[z:]:
+        shift = f * g
+        for l in range(1, parts + 1):
+            rows[l] += rows[l - 1] << shift & mask
+    return sum(comb(k - l + z - 1, z - 1) * row for l, row in enumerate(rows))
 
 
 def _series_width(x: Scroll, top: int, S: int) -> int:
@@ -178,8 +185,8 @@ def _series(x: Scroll, top: int) -> tuple[tuple[int, ...], ...]:
     """The triangle [y^s] h_K(v) for K = 0..min(top, S) and s = 0..S, with
     S = min(m, top*(a_n - a_0)), h_K the complete homogeneous symmetric
     polynomial in v_j = (1+y)^{a_j - a_0} - 1.  Terms with K > top or s > S
-    never reach :func:`_closed_form` at min(m, p) = top, and K > s
-    vanishes since each v_j is divisible by y.
+    never reach :func:`_moments` at min(m, p) = top, and K > s vanishes
+    since each v_j is divisible by y.
 
     The dynamic program of :func:`_sym_row`, with each row packed in y, one
     field per power: adding v_j is rows[K] += rows[K-1] * v_j for K = 1..top,
@@ -212,90 +219,39 @@ def _series(x: Scroll, top: int) -> tuple[tuple[int, ...], ...]:
     return tuple(unpacked)
 
 
-def _closed_form(x: Scroll, p: int, e: int) -> tuple[int, int]:
-    """(h^0, h^m) outside the mixed band, for p >= 0 and e = p*a_0 + q: the
-    sum over the weak compositions beta of p of C(e + m + D, m),
-    D = sum_j beta_j (a_j - a_0), is
-
-        P = sum_s C(e+m, m-s) U_s,  U_s = sum_K C(p+n, n+K) [y^s] h_K(v).
-
-    It is h^0 when e >= -m.  When p*a_n + q <= -1 it is (-1)^m h^m, with
-    C(e+m, m-s) the generalized binomial (-1)^{m-s} C(-e-1-s, m-s), so
-    h^m = sum_s (-1)^s C(-e-1-s, m-s) U_s.  See the module docstring."""
-    m, n = x.m, x.n
-    rows = _series(x, min(m, p))
-    if e >= -m:
-        col = [comb(e + m, j) for j in range(m, m - len(rows[0]), -1)]
-    else:
-        col = [(-1) ** s * comb(-e - 1 - s, m - s) for s in range(len(rows[0]))]
-    total = comb(p + n, n) * col[0]  # h_0 = 1
-    for k in range(1, len(rows)):
-        total += comb(p + n, n + k) * sum(map(mul, col, rows[k]))
-    return (total, 0) if e >= -m else (0, total)
-
-
 @lru_cache(maxsize=1024)
 def sym_twists(x: Scroll, k: int) -> tuple[tuple[int, int], ...]:
     """Histogram of the base twists of Sym^k(V): sorted pairs (t, mult), mult
     counting the weak compositions beta of k with beta . a = t.  The
-    unpacked view of :func:`_sym_row` with fields just wide enough for
-    C(k+n, n), the most any count can be.  Production reads the packed row;
-    this view serves the reference routes.
+    unpacked view of the full-length :func:`_sym_row` with fields just wide
+    enough for C(k+n, n), the most any count can be.  Production reads the
+    packed rows of short sides; this view serves the reference routes.
     Raises ValueError when the table would exceed SYM_CELL_BUDGET bytes."""
     if k < 0:
         raise ValueError("symmetric power index must be nonnegative")
-    w = _row_width(x, k, comb(k + x.n, x.n), 0)
-    length = k * (x.a[-1] - x.a[0]) + 1
-    raw = _sym_row(x, k, w).to_bytes(length * w, "little")
+    gaps = tuple(aj - x.a[0] for aj in x.a)
+    top = k * gaps[-1]
+    w = _row_width(gaps, 0, k, top, 0)
+    raw = _sym_row(gaps, k, top, w).to_bytes((top + 1) * w, "little")
     from_bytes = int.from_bytes
-    fields = (from_bytes(raw[i:i + w], "little") for i in range(0, length * w, w))
+    fields = (from_bytes(raw[i:i + w], "little") for i in range(0, (top + 1) * w, w))
     return tuple((t, c) for t, c in enumerate(fields, k * x.a[0]) if c)
 
 
-def _scan(m: int, row: int, f: int, count: int, e: int, up: bool) -> int:
-    """sum_i c_i C(i+e+m, m) over the fields c_i of row, f bits wide and
-    count in number, with i counted from field 0 or, when up, from the top
-    field count-1 down.  Each of m+1 rounds takes suffix (or, up, prefix)
-    sums by doubling; after round r+1 the end field holds
-    T_r = sum_i c_i C(i+r, r), and Vandermonde,
-    C(i+e+m, m) = sum_r C(e-1+m-r, m-r) C(i+r, r), combines them (for
-    e = 0 only r = m counts)."""
+def _scan(m: int, row: int, f: int, count: int) -> int:
+    """sum_j c_j C(count-1-j+m, m) over the fields c_j of row, f bits wide
+    and count in number.  Each of m+1 rounds takes prefix sums by doubling,
+    X += X << s for s = f, 2f, 4f, ..., after which the top field holds
+    sum_j c_j C(count-1-j+r, r) at round r+1."""
     span = count * f
-    total = 0
-    for r in range(m + 1):
+    mask = (1 << span) - 1
+    for _ in range(m + 1):
         s = f
         while s < span:
-            row += (row << s) if up else (row >> s)
+            row += row << s
             s <<= 1
-        if up:
-            row &= (1 << span) - 1
-            t = row >> (span - f)
-        else:
-            t = row & ((1 << f) - 1)
-        total += t if r == m else comb(e - 1 + m - r, m - r) * t
-    return total
-
-
-def _packed_base_sum(m: int, row: int, w: int, e: int) -> tuple[int, int]:
-    """(h^0, h^m) on P^m summed over a packed twist histogram: field j of
-    row, w bytes wide, counts summands O(e + j).  For m = 0 both values
-    belong to degree 0, as in :func:`pm_cohom`.
-
-    h^0 = sum c_j C(e+j+m, m) over j >= -e: the fields below -e are shifted
-    away and the rest scanned from field 0.  h^m = sum c_j C(N-j+m, m) over
-    j <= N = -e-m-1: the fields above N are masked away and the rest scanned
-    from the top.  A few shift-adds on the whole row per round and no loop
-    over fields; w must come from :func:`_row_width` at this m."""
-    f = 8 * w
-    count = -(-row.bit_length() // f)  # fields up to the last nonzero one
-    h0 = hm = 0
-    low = max(-e, 0)
-    if low < count:
-        h0 = _scan(m, row >> low * f, f, count - low, max(e, 0), False)
-    top = min(-e - m - 1, count - 1)
-    if top >= 0:
-        hm = _scan(m, row & ((1 << (top + 1) * f) - 1), f, top + 1, -e - m - 1 - top, True)
-    return h0, hm
+        row &= mask
+    return row >> (span - f)
 
 
 @lru_cache(maxsize=1024)
@@ -315,6 +271,76 @@ def subset_sums(x: Scroll, top: int | None = None) -> tuple[tuple[tuple[int, int
     return tuple(tuple(sorted(row.items())) for row in rows)
 
 
+@lru_cache(maxsize=1024)
+def _moments(x: Scroll, i: int, p: int) -> tuple[int, ...]:
+    """The binomial moments M_r, r = 0..min(m, p*(a_n - a_0)), of the hook
+    pi_* Omega^i(pH), p > i, in D = t - p*a_0.  Sym^k(V) has the moments
+    U_r(k) = sum_K C(k+n, n+K) [y^r] h_K(v) (:func:`_series`), a subset sum
+    g = a_I - s*a_0 shifts D by g, and C(g + D, r) = sum_j C(g, j) C(D, r-j),
+    so M_r = sum_s (-1)^{i-s} sum_g c_g sum_j C(g, j) U_{r-j}(p-s)."""
+    n, a0, d = x.n, x.a[0], x.a[-1] - x.a[0]
+    out, rows = [0] * (min(x.m, p * d) + 1), _series(x, min(x.m, p))  # C(p-s+n, n+K) = 0 past K = p-s
+    for s, sums in enumerate(subset_sums(x, i)):
+        sign = -1 if (i - s) % 2 else 1
+        coeffs = [comb(p - s + n, n + K) for K in range(len(rows))]
+        sym = [sum(map(mul, coeffs, col)) for col in zip(*rows)]
+        for j in range(min(len(out), s * d + 1)):  # C(g, j) = 0 for j > g
+            shift = sign * sum(c * comb(u - s * a0, j) for u, c in sums)
+            for r, v in enumerate(sym[:len(out) - j], j):
+                out[r] += shift * v
+    return tuple(out)
+
+
+def _short_side(y: Scroll, i: int, p: int, top: int) -> int:
+    """sum_D c_D C(top - D + m, m) over the fields D <= top of the twist
+    histogram of pi_* Omega^i(pH) on y, in D = t - p*a_0 (Sym^p for i = 0):
+    h^m of the sum when top = -p*a_0 - q - m - 1.  The hook's packed row is
+    the alternating sum over s <= i of the Sym^{p-s} row times the subset
+    sums a_I - s*a_0 packed, each product cut to top+1 fields.  The bundle
+    is a Schur functor of the split V, so every multiplicity is
+    nonnegative: the positive and the negative terms are added apart and
+    subtracted once, which never borrows, and the cut keeps that."""
+    a0 = y.a[0]
+    gaps = tuple(aj - a0 for aj in y.a)
+    w = _row_width(gaps, i, p, top, y.m)
+    f = 8 * w
+    mask = (1 << f * (top + 1)) - 1
+    signed = [0, 0]
+    for s, sums in enumerate(subset_sums(y, i)):
+        packed = sum(c << f * (u - s * a0) for u, c in sums if u - s * a0 <= top)
+        signed[(i - s) % 2] += packed * _sym_row(gaps, p - s, top, w) & mask
+    return _scan(y.m, signed[0] - signed[1], f, top + 1)
+
+
+def _base_sum(x: Scroll, i: int, p: int, q: int) -> tuple[int, int]:
+    """(h^0, h^m) on P^m of pi_* Omega^i(pH)(q), a sum of line bundles, for
+    p > i, or Sym^p(V)(q) for i = 0 and p >= 0: chi from the moments, and
+    the shorter side, h^m up to N_m = -e-m-1 or h^0 up to N_0 = p*a_n + q on
+    the mirror, the other from chi.  For m = 0 both values belong to degree
+    0, as in :func:`pm_cohom`."""
+    m, n = x.m, x.n
+    if (n + 1) * i > SYM_STEP_BUDGET:
+        raise ValueError(f"Omega^{i} on this scroll needs up to {(n + 1) * i} subset-sum steps, "
+                         f"over the budget of {SYM_STEP_BUDGET}")
+    e = p * x.a[0] + q
+    low, high = -e - m - 1, p * x.a[-1] + q
+    top = min(low, high)
+    side = _short_side(x if low <= high else _mirror(x), i, p, top) if top >= 0 else 0
+    if i:
+        M = _moments(x, i, p)
+        chi = sum(map(mul, _gbinom(e + m, m, len(M)), M))
+    else:  # the same sum over r, with U_r = sum_K C(p+n, n+K) [y^r] h_K(v) summed over K last
+        rows = _series(x, min(m, p))
+        col = _gbinom(e + m, m, len(rows[0]))
+        chi = comb(p + n, n) * col[0]  # h_0 = 1
+        for K in range(1, len(rows)):
+            chi += comb(p + n, n + K) * sum(map(mul, col, rows[K]))
+    sign = -1 if m % 2 else 1
+    if low <= high:
+        return chi - sign * side, side
+    return side, sign * (chi - side)
+
+
 def zero_table(x: Scroll) -> tuple[int, ...]:
     return (0,) * (x.dim + 1)
 
@@ -327,22 +353,15 @@ def add_tables(t1, t2) -> tuple[int, ...]:
 def line_cohom(x: Scroll, d: DivClass) -> tuple[int, ...]:
     """Cohomology table (h^0, ..., h^{n+m}) of O(d.p * H + d.q * F).  For
     p < -n it is the reversed table of the Serre-dual class
-    (-p-n-1, c-q-1-m), as in :func:`omega_cohom`.  For p >= 0 the closed
-    form :func:`_closed_form` answers outside the mixed band, where the
-    twists t + q all lie at or above -m or all at or below -1; the packed
-    kernel answers inside it."""
+    (-p-n-1, c-q-1-m), as in :func:`omega_cohom`; for p >= 0 it is
+    :func:`_base_sum` of Sym^p(V)(q)."""
     p, q = d.p, d.q
     dual = p < -x.n
     if dual:
         p, q = -p - x.n - 1, x.c - q - 1 - x.m
     table = [0] * (x.dim + 1)
     if p >= 0:
-        e = p * x.a[0] + q
-        if e >= -x.m or p * x.a[-1] + q <= -1:
-            h0, hm = _closed_form(x, p, e)
-        else:  # the mixed band
-            w = _row_width(x, p, comb(p + x.n, x.n), x.m)
-            h0, hm = _packed_base_sum(x.m, _sym_row(x, p, w), w, e)
+        h0, hm = _base_sum(x, 0, p, q)
         table[0] += h0
         table[x.m] += hm
     return tuple(table[::-1] if dual else table)
@@ -353,27 +372,6 @@ def check_omega_index(x: Scroll, i: int):
         raise ValueError(f"cotangent power index {i} out of range 0..{x.n}")
 
 
-@lru_cache(maxsize=1024)
-def _hook_row(x: Scroll, i: int, p: int) -> tuple[int, int]:
-    """Twist histogram of pi_* Omega^i(pH) for p > i, packed as in
-    :func:`_sym_row` with field j at twist p*a_0 + j, and its field width in
-    bytes, sized for :func:`_packed_base_sum`.  It is the alternating sum
-    sum_{s<=i} (-1)^{i-s} Lambda^s(V) (x) Sym^{p-s}(V) of its resolution by
-    pushforwards; each product is one multiplication of the Sym^{p-s} row by
-    U_s, the subset sums of size s packed from offset s*a_0.  The bundle is
-    a Schur functor of the split V, so it is split itself and every
-    multiplicity is nonnegative: the positive and the negative terms are
-    added apart and subtracted once, which never borrows."""
-    n, a0 = x.n, x.a[0]
-    w = _row_width(x, p, sum(comb(n + 1, s) * comb(p - s + n, n) for s in range(i + 1)), x.m, i + 1)
-    f = 8 * w
-    signed = [0, 0]
-    for s, sums in enumerate(subset_sums(x, i)):
-        packed = sum(c << f * (u - s * a0) for u, c in sums)
-        signed[(i - s) % 2] += packed * _sym_row(x, p - s, w)
-    return signed[0] - signed[1], w
-
-
 def omega_cohom(x: Scroll, i: int, t: DivClass) -> tuple[int, ...]:
     """Cohomology table of Omega^i(T), the i-th exterior power of the
     relative cotangent bundle twisted by T = pH + qF.  Omega^0 is the
@@ -382,9 +380,10 @@ def omega_cohom(x: Scroll, i: int, t: DivClass) -> tuple[int, ...]:
     By Bott's formula on the fibre P^n, R pi_* Omega^i(pH) is one sheaf in
     one degree, and Leray reads the table off the base:
 
-    * p > i: pi_* Omega^i(pH) in degree 0, a sum of line bundles O(u) with
-      the histogram of :func:`_hook_row`; h^0 and h^m are sums of
-      h^0 and h^m of O(u + q) on P^m, as in :func:`line_cohom`;
+    * p > i: pi_* Omega^i(pH) in degree 0, a sum of line bundles O(u), the
+      hook sum_{s<=i} (-1)^{i-s} Lambda^s(V) (x) Sym^{p-s}(V); h^0 and h^m
+      of its twist by q come from :func:`_base_sum`, as in
+      :func:`line_cohom`;
     * p = 0: R^i pi_* Omega^i = O, so h^i = h^0(P^m, O(q)) and
       h^{i+m} = h^m(P^m, O(q));
     * p < i - n: Serre duality, the reversed table of Omega^{n-i} twisted
@@ -408,8 +407,7 @@ def omega_cohom(x: Scroll, i: int, t: DivClass) -> tuple[int, ...]:
         table[i] += h0
         table[i + x.m] += hm
     elif p > i:
-        row, w = _hook_row(x, i, p)
-        h0, hm = _packed_base_sum(x.m, row, w, p * x.a[0] + q)
+        h0, hm = _base_sum(x, i, p, q)
         table[0] += h0
         table[x.m] += hm
     return tuple(table)

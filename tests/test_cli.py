@@ -316,21 +316,17 @@ def test_shared_parser_gives_identical_runs(capsys):
 @pytest.mark.parametrize("sheaf, twist, want", [
     (O, "1000000,0", '{"h":[1500002500001,0,0]}\n'),
     (O, "-1000000,0", '{"h":[0,0,1499997500001]}\n'),
-    ('{"omega":{"i":1,"twist":[0,0]}}', "1000000,0", None)], ids=["line", "serre-dual", "omega"])
+    ('{"omega":{"i":1,"twist":[0,0]}}', "1000000,0", '{"h":[1499999499999,0,0]}\n'),
+    (O, "1000000,-1000005", '{"h":[499996500006,10,0]}\n')], ids=["line", "serre-dual", "omega", "short-side"])
 def test_oversized_twist_is_refused_quickly(capsys, sheaf, twist, want):
-    # a line bundle at p = 10^6 (and its Serre dual) lies outside the mixed
-    # band and is answered exactly by the closed form, whose series stops at
-    # min(m, p) = 1; the hook's symmetric-power table of Omega^1 would need
-    # terabytes and is refused up front
+    # at p = 10^6 a line bundle, its Serre dual and Omega^1 have an empty
+    # side, so chi, whose series stops at min(m, p) = 1, is the table (for
+    # Omega^1 the Riemann-Roch value); O(10^6 H - (10^6+5) F) has four
+    # twists below -1, and its h^1 side is a row of N_m + 1 = 4 fields
     t0 = time.process_time()
     code, out, err = run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", sheaf, f"--twist={twist}")
-    if want is None:
-        assert time.process_time() - t0 < 1
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and "budget" in err
-    else:
-        assert time.process_time() - t0 < 0.01
-        assert (code, out, err) == (0, want, "")
+    assert time.process_time() - t0 < 0.01
+    assert (code, out, err) == (0, want, "")
 
 
 def test_oversized_series_is_refused_quickly(capsys):
@@ -415,8 +411,9 @@ def test_wide_scan_is_answered_quickly(capsys, scan, want):
 
 
 def test_wide_table_is_refused_by_bytes(capsys):
-    # Sym^3000 at n = 24 with a_n - a_0 = 1: 9*10^6 cells of 25-byte fields.
-    # q = -4500 puts the twists t + q in -1500..1500, in the mixed band
+    # Sym^3000 at n = 24 with a_n - a_0 = 1.  q = -4500 puts the twists t + q
+    # in -1500..1500, and the shorter side, h^1 up to N_m = 1498, needs
+    # 1499 rows of 1499 cells of 27-byte fields
     scroll = json.dumps({"m": 1, "n": 24, "a": [1] * 24 + [2]})
     t0 = time.process_time()
     code, out, err = run(capsys, "cohom", "--scroll", scroll, "--sheaf", O, "--twist=3000,-4500")
@@ -426,13 +423,14 @@ def test_wide_table_is_refused_by_bytes(capsys):
 
 
 def test_row_wide_enough_for_the_base_sum_is_refused(capsys):
-    # Sym^5000 on O(1)+O(2): 5001^2 cells.  Its counts fit in 2-byte fields
-    # (50,020,002 B, under the budget), but the m+1 rounds of sums over P^1
-    # reach 5001^2 and need 4-byte fields (100,040,004 B).  q = -7500 puts
-    # the twists -2500..2500 in the band; the width does not read q
-    code, out, err = run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", O, "--twist=5000,-7500")
+    # Sym^9000 on O(1)+O(2) at q = -13500: the twists -4500..4500, whose
+    # shorter side, h^1 up to N_m = 4498, takes 4499 rows of 4499 cells.
+    # Its counts fit in 2-byte fields (40,482,002 B, under the budget), but
+    # the m+1 rounds of sums over P^1 reach 9001*4499 and need 4-byte fields
+    # (80,964,004 B)
+    code, out, err = run(capsys, "cohom", "--scroll", SCROLL, "--sheaf", O, "--twist=9000,-13500")
     assert code == 1 and out == ""
-    assert err == ("error: Sym^5000 on this scroll needs at least 100040004 table bytes, "
+    assert err == ("error: Sym^9000 on this scroll needs at least 80964004 table bytes, "
                    "over the budget of 60000000\n")
 
 
@@ -483,15 +481,28 @@ def _on_p(m, n=1, a=(1, 2)):
     ["split", "--scroll", _on_p(20000), "--sheaf", O, "--theorem", "2.3"],
     ["reg", "--scroll", _on_p(20000), "--sheaf", O],
     ["compare", "--scroll", _on_p(2000), "--sheaf", O, "--pbox=0:0", "--qbox=0:0"],
-    ["cohom", "--scroll", _on_p(1, 2000, [1] * 2001), "--sheaf", '{"omega":{"i":1000,"twist":[1001,0]}}'],
+    ["cohom", "--scroll", _on_p(1, 200, range(1, 202)), "--sheaf", '{"omega":{"i":1,"twist":[20000,-30003]}}'],
     ["pqreg", "--scroll", _on_p(100000), "--sheaf", O, "--at=0,0"],
 ], ids=["msreg-150", "msreg-200", "split-2.3", "reg", "compare", "omega-hook", "pqreg"])
 def test_large_scroll_is_refused_by_its_budget(capsys, argv):
-    # the condition family's tables, or the hook's Sym rows, are sized from
-    # the descriptor and refused before any of them is built
+    # the condition family's tables, or the hook's Sym rows (2*200*10001
+    # steps to the cut N_m = 10001), are sized from the descriptor and
+    # refused before any of them is built
     t0 = time.process_time()
     code, out, err = run(capsys, *argv)
     assert time.process_time() - t0 < 2
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+
+
+def test_wide_fibre_hook_is_refused_before_its_subset_sums(capsys):
+    # Omega^10000(10001H) on P(O(1)^20001) over P^1: its moments read the
+    # subset sums of every size up to 10000, (n+1)*i = 2*10^8 steps, refused
+    # before they run or any binomial of the hook is computed
+    scroll = _on_p(1, 20000, [1] * 20001)
+    t0 = time.process_time()
+    code, out, err = run(capsys, "cohom", "--scroll", scroll, "--sheaf", '{"omega":{"i":10000,"twist":[10001,0]}}')
+    assert time.process_time() - t0 < 1
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
 

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scrollcohom import (DivClass, SplitBundle, bundle_cohom, euler_char, is_globally_generated,
-                         line_cohom, make_scroll, mult_map_rank, omega_cohom, pm_cohom, sym_twists)
+                         line_cohom, make_scroll, mult_map_rank, normalize_twist, omega_cohom, pm_cohom,
+                         sym_twists)
 from scrollcohom import cohomology
 from scrollcohom.characters import weak_compositions
 from scrollcohom.cohomology import choose
@@ -65,19 +66,23 @@ def test_sym_twists_budget_counts_bytes(monkeypatch):
 
 
 def test_step_budget_counts_every_sym_row(monkeypatch):
-    # n*p steps for an in-band line bundle, (i+1)*n*p for the i+1 rows of
-    # Omega^i(pH).  On O(1)^3+O(2) over P^1, q = -20 puts the twists t + q
-    # of Sym^14 and Sym^15 on both sides of -1, in the band; on O(1)^4 every
-    # Sym row is one field, so only the steps bound the hook's work
-    y = make_scroll(1, 3, [1, 1, 1, 2])
+    # n*K steps for a line bundle's short side, (i+1)*n*K for the i+1 rows of
+    # Omega^i(pH), K the parts that fit below the cut N.  On O(1)+O(2)^3 over
+    # P^1 at p = 40 the h^m side is the shorter one, with N = K = -40-q-2,
+    # while h^0 needs 80+q; the subset sums behind a hook's moments take
+    # (n+1)*i steps of their own
+    y = make_scroll(1, 3, [1, 2, 2, 2])
+    line, hook = _line_by_pm_cohom(y, DivClass(40, -56)), _omega_by_pm_cohom(y, 1, DivClass(40, -49))
     monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 42)
-    assert cohomology.line_cohom.__wrapped__(y, DivClass(14, -20)) == _line_by_pm_cohom(y, DivClass(14, -20))
-    with pytest.raises(ValueError, match="^Sym\\^15 on this scroll needs up to 45 dynamic-program steps"):
-        cohomology.line_cohom.__wrapped__(y, DivClass(15, -20))
-    x = make_scroll(1, 3, [1, 1, 1, 1])
-    cohomology._hook_row.__wrapped__(x, 1, 7)
+    assert cohomology.line_cohom.__wrapped__(y, DivClass(40, -56)) == line
+    with pytest.raises(ValueError, match="^Sym\\^40 on this scroll needs up to 45 dynamic-program steps"):
+        cohomology.line_cohom.__wrapped__(y, DivClass(40, -57))
+    assert omega_cohom(y, 1, DivClass(40, -49)) == hook
     with pytest.raises(ValueError, match="needs up to 48 dynamic-program steps, over the budget of 42$"):
-        cohomology._hook_row.__wrapped__(x, 1, 8)
+        omega_cohom(y, 1, DivClass(40, -50))
+    monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 3)
+    with pytest.raises(ValueError, match="^Omega\\^1 on this scroll needs up to 4 subset-sum steps"):
+        omega_cohom(y, 1, DivClass(40, 0))
 
 def test_sym_twists_wide_fields_across_twists():
     # a = (0^6, 1): the count at twist t is C(100 - t + 5, 5), the total
@@ -124,32 +129,26 @@ def test_line_cohom_high_degree():
         assert any(t1) and all(t1[i] == t2[x.dim - i] for i in range(x.dim + 1))
 
 
-def _kernel(x, d):
-    # the packed kernel at p >= 0, whichever side of the band (p, q) lies on
-    w = cohomology._row_width(x, d.p, choose(d.p + x.n, x.n), x.m)
-    h0, hm = cohomology._packed_base_sum(x.m, cohomology._sym_row(x, d.p, w), w, d.p * x.a[0] + d.q)
-    return (h0,) + (0,) * (x.m - 1) + (hm,) + (0,) * x.n if x.m else (h0 + hm,) + (0,) * x.n
-
-
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(x=scrolls(), p=st.integers(0, 40), q=st.integers(-60, 60))
 def test_closed_form_matches_the_kernel(x, p, q):
-    # outside the band line_cohom takes the closed form; the kernel answers everywhere
+    # chi plus the shorter side, whichever side that is, against the
+    # histogram summed term by term
     d = DivClass(p, q)
-    assert cohomology.line_cohom.__wrapped__(x, d) == _kernel(x, d)
+    assert cohomology.line_cohom.__wrapped__(x, d) == _line_by_pm_cohom(x, d)
 
 
 @pytest.mark.parametrize("p", [1, 3])
 def test_closed_form_on_a_wide_base_stops_at_min_m_p(p):
-    # the series runs to min(m, p), not to m = 3000; both queries lie
-    # outside the band (e = p >= -m)
+    # the series runs to min(m, p), not to m = 3000; the queries have an
+    # empty side (N_m < 0 for q = 0 and -3000-p, N_0 < 0 for -3001-2p)
     x = make_scroll(3000, 1, [1, 2])
     for q in (0, -3000 - p, -3001 - 2 * p):
         d = DivClass(p, q)
         t0 = time.process_time()
         got = cohomology.line_cohom.__wrapped__(x, d)
         assert time.process_time() - t0 < 0.1
-        assert got == _kernel(x, d), q
+        assert got == _line_by_pm_cohom(x, d), q
 
 
 def test_series_budgets(monkeypatch):
@@ -223,19 +222,18 @@ def band_edge_queries(draw):
 @example(query=(make_scroll(2, 1, [3, 3]), 2**16, -3 * 2**16 - 3, 1, True))  # past two bytes
 @example(query=(make_scroll(1, 6, [1] * 7), 100, -102, 3, False))  # C(106, 6) > 2^30
 @example(query=(make_scroll(3, 4, [-4, -1, 0, 2, 5]), 60, -62, 4, True))  # sums past four bytes
-# exactly at the region edges, e = p*a_0 + q in {-m, -m-1} and p*a_n + q in {-1, 0}
-@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -8, 1, False))  # e = -m: closed form, h^0
-@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -9, 1, True))  # e = -m-1: band
-@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -21, 2, True))  # p*a_n + q = -1: closed form, h^m
-@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -20, 2, False))  # p*a_n + q = 0: band
+# exactly at the cuts, N_m = -e-m-1 in {-1, 0} and N_0 = p*a_n + q in {-1, 0}
+@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -8, 1, False))  # N_m = -1: h^m empty
+@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -9, 1, True))  # N_m = 0
+@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -21, 2, True))  # N_0 = -1: h^0 empty
+@example(query=(make_scroll(3, 2, [1, 2, 4]), 5, -20, 2, False))  # N_0 = 0
 @example(query=(make_scroll(0, 2, [-1, 0, 3]), 7, 7, 1, True))  # m = 0, e = 0
 @example(query=(make_scroll(0, 2, [-1, 0, 3]), 7, 6, 1, False))  # m = 0, e = -1
 @example(query=(make_scroll(0, 2, [-1, 0, 3]), 7, -22, 2, False))  # m = 0, p*a_n + q = -1
 @example(query=(make_scroll(0, 2, [-1, 0, 3]), 7, -21, 2, True))  # m = 0, p*a_n + q = 0
 def test_packed_sums_match_written_out_references(query):
-    # the closed form outside the band and the packed kernel inside it
-    # against the histograms summed term by term, on both sides of each
-    # edge and on the Serre-dual side
+    # chi plus the shorter side against the histograms summed term by
+    # term, on both sides of each edge and on the Serre-dual side
     x, p, q, i, dual = query
     d = DivClass(-p - x.n - 1, x.c - q - 1 - x.m) if dual else DivClass(p, q)
     assert line_cohom(x, d) == _line_by_pm_cohom(x, d)
@@ -243,10 +241,35 @@ def test_packed_sums_match_written_out_references(query):
         assert omega_cohom(x, i, DivClass(p, q)) == _omega_by_pm_cohom(x, i, DivClass(p, q))
 
 
+@st.composite
+def cut_queries(draw):
+    # q within 3 of N_m = 0 (h^m starts), of N_0 = 0 (h^0 starts) or of the
+    # tie N_m = N_0, where the shorter side changes from h^m to h^0
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0 if m else 1, 4))
+    x = make_scroll(m, n, draw(st.lists(st.integers(-4, 5), min_size=n + 1, max_size=n + 1)))
+    p = draw(st.integers(0, 60))
+    cut = draw(st.sampled_from((-p * x.a[0] - m - 1, -p * x.a[-1], (-p * (x.a[0] + x.a[-1]) - m - 1) // 2)))
+    return x, DivClass(p, cut + draw(st.integers(-3, 3))), draw(st.integers(0, n)), draw(st.integers(-3, 3))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(query=cut_queries())
+@example(query=(make_scroll(1, 2, [1, 1, 2]), DivClass(8, -13), 1, 3))  # the tie N_m = N_0 = 3
+@example(query=(make_scroll(2, 2, [-1, 0, 3]), DivClass(9, -24), 1, -3))  # h^0 side, N_0 = 3 < N_m = 30
+def test_tables_are_invariant_under_retwisting(query):
+    # O(w) (x) V gives the same scroll with H' = H + wF, so every table is
+    # the same in the new basis, while N_m and N_0 move with the twists
+    x, d, i, w = query
+    xw, tmap = normalize_twist(x, w)
+    assert line_cohom(xw, tmap.apply(d)) == line_cohom(x, d)
+    assert omega_cohom(xw, i, tmap.apply(d)) == omega_cohom(x, i, d)
+
+
 def test_second_routes_skip_the_base_sum(monkeypatch):
     # the character oracle and hypercohomology check line_cohom and
-    # omega_cohom, so neither may share their packed-row sum, nor the
-    # closed form and its series outside the band
+    # omega_cohom, so neither may share their chi, its moments and series,
+    # or the short side and its scan
     from scrollcohom.characters import character_cohom
     from scrollcohom.complexes import single_term_complex
 
@@ -255,7 +278,7 @@ def test_second_routes_skip_the_base_sum(monkeypatch):
             raise AssertionError(f"a second route reached cohomology.{name}")
         monkeypatch.setattr(cohomology, name, forbidden)
 
-    for name in ("_packed_base_sum", "_closed_form", "_series", "_series_width"):
+    for name in ("_base_sum", "_moments", "_series", "_series_width", "_short_side", "_scan", "_mirror"):
         forbid(name)
     for p in (-4, -1, 0, 2):
         for q in (-4, 1):
@@ -265,13 +288,12 @@ def test_second_routes_skip_the_base_sum(monkeypatch):
         t = DivClass(3, -2)
         assert (hypercohom(X12, cotangent_resolution_left(X12, i).twist(t))
                 == hypercohom(X12, cotangent_resolution_right(X12, i).twist(t)))
-    # on X12 at p = 2, q = -4 is the one twist in the band: -3 and -5 are
-    # answered by the closed form
-    with pytest.raises(AssertionError, match="second route reached cohomology._packed_base_sum"):
-        line_cohom.__wrapped__(X12, DivClass(2, -4))
-    for q in (-5, -3, 1):
-        with pytest.raises(AssertionError, match="second route reached cohomology._closed_form"):
+    # production takes one path on either side of each cut, lines and hooks alike
+    for q in (-5, -4, -3, 1):
+        with pytest.raises(AssertionError, match="second route reached cohomology._base_sum"):
             line_cohom.__wrapped__(X12, DivClass(2, q))
+        with pytest.raises(AssertionError, match="second route reached cohomology._base_sum"):
+            omega_cohom(X12, 1, DivClass(3, q))
 
 
 def test_line_cohom_frozen_values():
