@@ -10,24 +10,17 @@ degrees n and n+m.  For p > i, pi_* Omega^i(pH) (Bott's formula on the
 fibre P^n) is such a sum too, the hook sum_{s<=i} (-1)^{i-s} Lambda^s(V)
 (x) Sym^{p-s}(V), and is answered alike.
 
-chi = h^0 + (-1)^m h^m = sum_D c_D C(e + D + m, m), with the generalized
-binomial since C(k+m, m) vanishes at k = -m..-1, is sum_{r<=m} C(e+m, m-r)
-M_r by Vandermonde, M_r = sum_D c_D C(D, r).  For Sym^p,
-M_r = sum_K C(p+n, n+K) [y^r] h_K(v), h_K the complete homogeneous
-symmetric polynomial in v_j = (1+y)^{a_j - a_0} - 1; each v_j is divisible
-by y, so only K <= min(m, p) counts, and the triangle :func:`_series`
-depends on the scroll and min(m, p) only.  A hook's moments, cached per
-(x, i, p), add the subset sums of :func:`subset_sums` (:func:`_moments`).
-
-h^m reads the fields D <= N_m = -e-m-1, each giving C(N_m - D + m, m); h^0
+chi = h^0 + (-1)^m h^m = sum_D c_D C(e + D + m, m) is, by Vandermonde with
+the generalized binomial, sum_{r<=m} C(e+m, m-r) M_r, where M_r =
+sum_D c_D C(D, r) are the binomial moments of the twist histogram (from
+the triangle of :func:`_series`, and :func:`_moments` for a hook).  h^m
+reads the fields D <= N_m = -e-m-1, each giving C(N_m - D + m, m); h^0
 reads the same form up to N_0 = p*a_n + q on the reflected twists
-a_n - a_j, those of the scroll with negated twists (:func:`_mirror`).  Only
-the side with the smaller N is computed, and the other comes from chi; a
-side with N < 0 is empty.  The side's histogram is a dynamic program whose
-rows are packed into big integers, one field per D (Kronecker
-substitution), cut to N+1 fields (:func:`_sym_row`), and m+1 rounds of
-prefix sums by doubling leave the side in the top field (:func:`_scan`):
-no Python loop runs over the fields.
+a_n - a_j (:func:`_mirror`).  Only the side with the smaller N is
+computed, and the other comes from chi; a side with N < 0 is empty.  The side is a packed row cut to N+1 fields
+(:func:`_sym_row`), one field per D (Kronecker substitution), whose m+1
+rounds of prefix sums by doubling leave it in the top field
+(:func:`_scan`): no Python loop runs over the fields.
 
 Tables are plain tuples of length n+m+1.  All dimension arithmetic is
 unbounded-integer exact; binomials come from :func:`math.comb`.
@@ -37,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from operator import mul
 
@@ -63,31 +57,27 @@ def pm_cohom(m: int, d: int) -> tuple[int, int]:
     return monomial_count(m, d), monomial_count(m, -d - 1 - m)
 
 
-# The Sym budgets below bound the packed rows of a short side, which
-# :func:`_short_side` builds for line queries and hooks whose twists
-# straddle -m..-1; the series of chi has its own, SERIES_*_BUDGET.
-#
-# Most bytes one packed table may take: (K+1) rows of N+1 cells, N the
-# side's cut and K its most parts on nonzero gaps, times the field width
-# w >= 1.  Near the budget a line query on P^1 peaked at 55 MB resident for
-# n = 4 and 75 MB for n = 12 and 24 (64-bit CPython 3.11, 15 MB after
-# import), where a cell count let n = 24 reach 244 MB.  Every in-band query
-# and hook of the tests, verify and the benchmark is < 6*10^5 B.
+# Budgets, each checked before the work it bounds.  Most bytes one packed
+# table of a short side may take: (K+1) rows of N+1 cells, N the side's cut
+# and K its most parts on nonzero gaps, times the field width w >= 1.  Near
+# the budget a line query on P^1 peaked at 55 MB resident for n = 4 and
+# 75 MB for n = 12 and 24 (64-bit CPython 3.11, 15 MB after import), where
+# a cell count let n = 24 reach 244 MB.
 SYM_CELL_BUDGET = 6 * 10**7
 
-# Most dynamic-program steps, one big-integer shift-add each, the Sym rows of
-# one query may take, (number of nonzero gaps)*K per row and i+1 rows for
-# Omega^i(pH), and most steps, (n+1)*i, of the subset sums a hook reads.  A
-# step costs in proportion to its row's bytes: on P(O(1)+O(2)^{10000}) over
-# P^1 (CPython 3.11.7, 2 vCPUs) O(402H - 604F) took 2*10^6 steps on rows of
-# 201 fields of 308 bytes, 33 s CPU.
+# Most steps one query may take: big-integer shift-adds of the Sym rows,
+# (number of nonzero gaps)*K per row and i+1 rows for Omega^i(pH), or the
+# subset sums and moments of a hook (:func:`_moments`).
 SYM_STEP_BUDGET = 4 * 10**6
 
-# Most bytes the packed triangle of :func:`_series` may take, (K+1) rows of
-# S+1 fields times a field width wide enough for every coefficient, and most
-# steps, n*K products of a row by a packed v_j, where K = min(m, p).  At one
-# query its rows, fields, field width and steps never exceed those of the
-# full Sym^p table: where it refuses, so would the Sym budgets on that table.
+# Most bytes the shift-adds of one query's Sym rows may move, steps times
+# row bytes (top+1)*w.  On P(O(1)+O(2)^{10000}) over P^1 (CPython 3.11.7,
+# 2 vCPUs) O(402H - 604F), 2*10^6 steps on rows of 201 fields of 308 bytes,
+# took 33 s CPU, and O(402H - 439F), just under this budget, 1.1 s.
+SYM_WORK_BUDGET = 4 * 10**9
+
+# Most bytes and steps, n*K products of a row by a packed v_j, of the
+# triangle of :func:`_series`, K = min(m, p).
 SERIES_BYTE_BUDGET = SYM_CELL_BUDGET
 SERIES_STEP_BUDGET = SYM_STEP_BUDGET
 
@@ -109,13 +99,11 @@ def _mirror(x: Scroll) -> Scroll:
 
 def _row_width(gaps: tuple[int, ...], i: int, p: int, top: int, m: int) -> int:
     """Field width in bytes for the rows Sym^{p-s}, s <= i, of :func:`_sym_row`
-    cut to top+1 fields, so that no field of their sum_s C(n+1, s) C(p-s+n, n)
-    summands carries through m+1 rounds of prefix sums, after which a field
-    is at most that mass times C(top+m, m); m = 0 sizes the bare histogram.
-    Raises ValueError past SYM_STEP_BUDGET steps or SYM_CELL_BUDGET bytes,
-    checked before any binomial is computed, and outside the cached
-    :func:`_sym_row`, so that a row cached under one budget is still
-    checked against another."""
+    cut to top+1 fields: after m+1 rounds of prefix sums a field is at most
+    the mass sum_s C(n+1, s) C(p-s+n, n) times C(top+m, m) (m = 0 sizes the
+    bare histogram).  Raises ValueError past SYM_STEP_BUDGET steps or
+    SYM_CELL_BUDGET bytes, both checked before any binomial, or past
+    SYM_WORK_BUDGET bytes shifted; outside the cached :func:`_sym_row`."""
     n, z = len(gaps) - 1, gaps.count(0)
     parts = min(p, top // gaps[z]) if z <= n else 0
     steps = (i + 1) * (n + 1 - z) * parts
@@ -127,6 +115,9 @@ def _row_width(gaps: tuple[int, ...], i: int, p: int, top: int, m: int) -> int:
         mass = sum(comb(n + 1, s) * comb(p - s + n, n) for s in range(i + 1))
         w = ((mass * comb(top + m, m)).bit_length() + 8) // 8
         if cells * w <= SYM_CELL_BUDGET:
+            if steps * (top + 1) * w > SYM_WORK_BUDGET:
+                raise ValueError(f"Sym^{p} on this scroll needs {steps} dynamic-program steps on rows of "
+                                 f"{(top + 1) * w} bytes, over the budget of {SYM_WORK_BUDGET} bytes shifted")
             return w
     raise ValueError(f"Sym^{p} on this scroll needs at least {cells * w} table bytes, "
                      f"over the budget of {SYM_CELL_BUDGET}")
@@ -160,9 +151,8 @@ def _series_width(x: Scroll, top: int, S: int) -> int:
     fields each.  [y^s] h_K(v) is at most C(K+n-1, n-1) C(K*d_n, s), the
     count of monomials of degree K times the coefficient of (1+y)^{K d_n},
     so at most C(top+n, n) C(span, k) with span = top*d_n and
-    k = min(S, span // 2).  Raises ValueError when building the rows would
-    take more than SERIES_STEP_BUDGET steps, or the rows more than
-    SERIES_BYTE_BUDGET bytes, checked first against the floor
+    k = min(S, span // 2).  Raises ValueError past SERIES_STEP_BUDGET steps
+    or SERIES_BYTE_BUDGET bytes, checked first against the floor
     C(span, k) >= max(2, span // k)^k, so that no big binomial is computed
     for a table that is refused anyway."""
     if x.n * top > SERIES_STEP_BUDGET:
@@ -185,7 +175,7 @@ def _series(x: Scroll, top: int) -> tuple[tuple[int, ...], ...]:
     """The triangle [y^s] h_K(v) for K = 0..min(top, S) and s = 0..S, with
     S = min(m, top*(a_n - a_0)), h_K the complete homogeneous symmetric
     polynomial in v_j = (1+y)^{a_j - a_0} - 1.  Terms with K > top or s > S
-    never reach :func:`_moments` at min(m, p) = top, and K > s vanishes
+    never reach :func:`_base_sum` at min(m, p) = top, and K > s vanishes
     since each v_j is divisible by y.
 
     The dynamic program of :func:`_sym_row`, with each row packed in y, one
@@ -277,13 +267,28 @@ def _moments(x: Scroll, i: int, p: int) -> tuple[int, ...]:
     pi_* Omega^i(pH), p > i, in D = t - p*a_0.  Sym^k(V) has the moments
     U_r(k) = sum_K C(k+n, n+K) [y^r] h_K(v) (:func:`_series`), a subset sum
     g = a_I - s*a_0 shifts D by g, and C(g + D, r) = sum_j C(g, j) C(D, r-j),
-    so M_r = sum_s (-1)^{i-s} sum_g c_g sum_j C(g, j) U_{r-j}(p-s)."""
+    so M_r = sum_s (-1)^{i-s} sum_g c_g sum_j C(g, j) U_{r-j}(p-s).
+
+    Raises ValueError past SYM_STEP_BUDGET steps, checked before the subset
+    sums run: the size-s sums take at most min(C(n+1, s), s*d + 1) values,
+    d = a_n - a_0, met once per twist and read here min(L, s*d + 1) times,
+    each read followed by L = len(M) products.  A cached vector takes none."""
     n, a0, d = x.n, x.a[0], x.a[-1] - x.a[0]
-    out, rows = [0] * (min(x.m, p * d) + 1), _series(x, min(x.m, p))  # C(p-s+n, n+K) = 0 past K = p-s
+    out = [0] * (min(x.m, p * d) + 1)
+    steps, sizes = 0, [1]  # sizes[k] = C(n+1, k), capped past the budget
+    for s in range(1, i + 1):
+        k = min(s, n + 1 - s)
+        if k == len(sizes):
+            sizes.append(min(sizes[-1] * (n + 2 - k) // k, SYM_STEP_BUDGET + 1))
+        size, reads = min(sizes[k], s * d + 1), min(len(out), s * d + 1)
+        steps += (n + 1) * size + reads * (size + len(out))
+    if steps > SYM_STEP_BUDGET:
+        raise ValueError(f"Omega^{i} on this scroll needs up to {steps} subset-sum and moment steps, "
+                         f"over the budget of {SYM_STEP_BUDGET}")
+    rows = _series(x, min(x.m, p))  # C(p-s+n, n+K) = 0 past K = p-s
     for s, sums in enumerate(subset_sums(x, i)):
-        sign = -1 if (i - s) % 2 else 1
-        coeffs = [comb(p - s + n, n + K) for K in range(len(rows))]
-        sym = [sum(map(mul, coeffs, col)) for col in zip(*rows)]
+        weights = [comb(p - s + n, n + K) for K in range(len(rows))]
+        sign, sym = -1 if (i - s) % 2 else 1, [sum(map(mul, weights, col)) for col in zip(*rows)]
         for j in range(min(len(out), s * d + 1)):  # C(g, j) = 0 for j > g
             shift = sign * sum(c * comb(u - s * a0, j) for u, c in sums)
             for r, v in enumerate(sym[:len(out) - j], j):
@@ -300,8 +305,7 @@ def _short_side(y: Scroll, i: int, p: int, top: int) -> int:
     is a Schur functor of the split V, so every multiplicity is
     nonnegative: the positive and the negative terms are added apart and
     subtracted once, which never borrows, and the cut keeps that."""
-    a0 = y.a[0]
-    gaps = tuple(aj - a0 for aj in y.a)
+    a0, gaps = y.a[0], tuple(aj - y.a[0] for aj in y.a)
     w = _row_width(gaps, i, p, top, y.m)
     f = 8 * w
     mask = (1 << f * (top + 1)) - 1
@@ -318,27 +322,22 @@ def _base_sum(x: Scroll, i: int, p: int, q: int) -> tuple[int, int]:
     the shorter side, h^m up to N_m = -e-m-1 or h^0 up to N_0 = p*a_n + q on
     the mirror, the other from chi.  For m = 0 both values belong to degree
     0, as in :func:`pm_cohom`."""
-    m, n = x.m, x.n
-    if (n + 1) * i > SYM_STEP_BUDGET:
-        raise ValueError(f"Omega^{i} on this scroll needs up to {(n + 1) * i} subset-sum steps, "
-                         f"over the budget of {SYM_STEP_BUDGET}")
-    e = p * x.a[0] + q
-    low, high = -e - m - 1, p * x.a[-1] + q
-    top = min(low, high)
-    side = _short_side(x if low <= high else _mirror(x), i, p, top) if top >= 0 else 0
-    if i:
-        M = _moments(x, i, p)
-        chi = sum(map(mul, _gbinom(e + m, m, len(M)), M))
-    else:  # the same sum over r, with U_r = sum_K C(p+n, n+K) [y^r] h_K(v) summed over K last
+    m, n, e = x.m, x.n, p * x.a[0] + q
+    if i:  # first: the hook's moments check the subset sums the side reads
+        weights, rows = (1,), (_moments(x, i, p),)
+    else:  # U_r = sum_K C(p+n, n+K) [y^r] h_K(v), as in :func:`_moments`
         rows = _series(x, min(m, p))
-        col = _gbinom(e + m, m, len(rows[0]))
-        chi = comb(p + n, n) * col[0]  # h_0 = 1
-        for K in range(1, len(rows)):
-            chi += comb(p + n, n + K) * sum(map(mul, col, rows[K]))
+        weights = map(comb, repeat(p + n), range(n, n + len(rows)))
+    col, chi = _gbinom(e + m, m, len(rows[0])), 0
+    for k, row in zip(weights, rows):  # chi = sum_r col[r] M_r, M = sum_K weights[K] rows[K]
+        chi += k * sum(map(mul, col, row))
     sign = -1 if m % 2 else 1
+    low, high = -e - m - 1, p * x.a[-1] + q
     if low <= high:
-        return chi - sign * side, side
-    return side, sign * (chi - side)
+        hm = _short_side(x, i, p, low) if low >= 0 else 0
+        return chi - sign * hm, hm
+    h0 = _short_side(_mirror(x), i, p, high) if high >= 0 else 0
+    return h0, sign * (chi - h0)
 
 
 def zero_table(x: Scroll) -> tuple[int, ...]:

@@ -483,11 +483,18 @@ def _on_p(m, n=1, a=(1, 2)):
     ["compare", "--scroll", _on_p(2000), "--sheaf", O, "--pbox=0:0", "--qbox=0:0"],
     ["cohom", "--scroll", _on_p(1, 200, range(1, 202)), "--sheaf", '{"omega":{"i":1,"twist":[20000,-30003]}}'],
     ["pqreg", "--scroll", _on_p(100000), "--sheaf", O, "--at=0,0"],
-], ids=["msreg-150", "msreg-200", "split-2.3", "reg", "compare", "omega-hook", "pqreg"])
+    ["cohom", "--scroll", _on_p(1, 400, range(1, 402)), "--sheaf", '{"omega":{"i":200,"twist":[201,0]}}'],
+    ["cohom", "--scroll", _on_p(1000, 100, range(1, 102)), "--sheaf", '{"omega":{"i":50,"twist":[51,0]}}'],
+    ["cohom", "--scroll", _on_p(1, 10000, [1] + [2] * 10000), "--sheaf", O, "--twist=402,-604"],
+], ids=["msreg-150", "msreg-200", "split-2.3", "reg", "compare", "omega-hook", "pqreg",
+        "omega-subset-sums", "omega-moments", "row-bytes"])
 def test_large_scroll_is_refused_by_its_budget(capsys, argv):
-    # the condition family's tables, or the hook's Sym rows (2*200*10001
-    # steps to the cut N_m = 10001), are sized from the descriptor and
-    # refused before any of them is built
+    # the condition family's tables, the hook's Sym rows (2*200*10001 steps
+    # to the cut N_m = 10001), a hook's subset sums and moments on a spread
+    # of twists (3.2*10^9 steps for Omega^200 at n = 400, 1.8*10^8 for
+    # Omega^50 at n = 100 over P^1000), or a short side of few steps on wide
+    # rows (2*10^6 steps on rows of 61,908 bytes) are sized from the
+    # descriptor and refused before any of them is built
     t0 = time.process_time()
     code, out, err = run(capsys, *argv)
     assert time.process_time() - t0 < 2

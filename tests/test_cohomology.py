@@ -69,10 +69,13 @@ def test_step_budget_counts_every_sym_row(monkeypatch):
     # n*K steps for a line bundle's short side, (i+1)*n*K for the i+1 rows of
     # Omega^i(pH), K the parts that fit below the cut N.  On O(1)+O(2)^3 over
     # P^1 at p = 40 the h^m side is the shorter one, with N = K = -40-q-2,
-    # while h^0 needs 80+q; the subset sums behind a hook's moments take
-    # (n+1)*i steps of their own
+    # while h^0 needs 80+q.  The subset sums and moments of a hook take steps
+    # of their own, 16 at i = 1 (two subset sums, two moments), counted when
+    # the moments are built: a cached vector takes none
     y = make_scroll(1, 3, [1, 2, 2, 2])
     line, hook = _line_by_pm_cohom(y, DivClass(40, -56)), _omega_by_pm_cohom(y, 1, DivClass(40, -49))
+    flat = {p: _omega_by_pm_cohom(y, 1, DivClass(p, 0)) for p in (40, 41)}
+    cohomology._moments.cache_clear()
     monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 42)
     assert cohomology.line_cohom.__wrapped__(y, DivClass(40, -56)) == line
     with pytest.raises(ValueError, match="^Sym\\^40 on this scroll needs up to 45 dynamic-program steps"):
@@ -80,9 +83,26 @@ def test_step_budget_counts_every_sym_row(monkeypatch):
     assert omega_cohom(y, 1, DivClass(40, -49)) == hook
     with pytest.raises(ValueError, match="needs up to 48 dynamic-program steps, over the budget of 42$"):
         omega_cohom(y, 1, DivClass(40, -50))
-    monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 3)
-    with pytest.raises(ValueError, match="^Omega\\^1 on this scroll needs up to 4 subset-sum steps"):
-        omega_cohom(y, 1, DivClass(40, 0))
+    monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 15)
+    assert omega_cohom(y, 1, DivClass(40, 0)) == flat[40]
+    with pytest.raises(ValueError, match="^Omega\\^1 on this scroll needs up to 16 subset-sum and moment steps"):
+        omega_cohom(y, 1, DivClass(41, 0))
+    monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 16)
+    assert omega_cohom(y, 1, DivClass(41, 0)) == flat[41]
+
+
+def test_work_budget_counts_steps_times_row_bytes(monkeypatch):
+    # the h^1 side of O(40H - 56F) on O(1)+O(2)^3 over P^1: 3*14 steps on
+    # rows cut to N_m + 1 = 15 fields of w bytes
+    y, d = make_scroll(1, 3, [1, 2, 2, 2]), DivClass(40, -56)
+    want, w = _line_by_pm_cohom(y, d), cohomology._row_width((0, 1, 1, 1), 0, 40, 14, 1)
+    monkeypatch.setattr(cohomology, "SYM_WORK_BUDGET", 42 * 15 * w)
+    assert cohomology.line_cohom.__wrapped__(y, d) == want
+    monkeypatch.setattr(cohomology, "SYM_WORK_BUDGET", 42 * 15 * w - 1)
+    with pytest.raises(ValueError, match=f"^Sym\\^40 on this scroll needs 42 dynamic-program steps on rows of "
+                                         f"{15 * w} bytes, over the budget of {42 * 15 * w - 1} bytes shifted$"):
+        cohomology.line_cohom.__wrapped__(y, d)
+
 
 def test_sym_twists_wide_fields_across_twists():
     # a = (0^6, 1): the count at twist t is C(100 - t + 5, 5), the total
