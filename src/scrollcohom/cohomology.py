@@ -22,6 +22,9 @@ computed, and the other comes from chi; a side with N < 0 is empty.  The side is
 rounds of prefix sums by doubling leave it in the top field
 (:func:`_scan`): no Python loop runs over the fields.
 
+One helper, :func:`_fit`, checks every table and step count before the work:
+SYM_STEP_BUDGET steps, SYM_CELL_BUDGET bytes held, SYM_WORK_BUDGET moved.
+
 Tables are plain tuples of length n+m+1.  All dimension arithmetic is
 unbounded-integer exact; binomials come from :func:`math.comb`.
 """
@@ -57,36 +60,52 @@ def pm_cohom(m: int, d: int) -> tuple[int, int]:
     return monomial_count(m, d), monomial_count(m, -d - 1 - m)
 
 
-# Budgets, each checked before the work it bounds.  Most bytes one packed
-# table of a short side may take: (K+1) rows of N+1 cells, N the side's cut
-# and K its most parts on nonzero gaps, times the field width w >= 1.  Near
-# the budget a line query on P^1 peaked at 55 MB resident for n = 4 and
-# 75 MB for n = 12 and 24 (64-bit CPython 3.11, 15 MB after import), where
-# a cell count let n = 24 reach 244 MB.
-SYM_CELL_BUDGET = 6 * 10**7
-
-# Most steps one query may take: big-integer shift-adds of the Sym rows,
-# (number of nonzero gaps)*K per row and i+1 rows for Omega^i(pH), or the
-# subset sums and moments of a hook (:func:`_moments`).
+# Budgets, all checked by :func:`_fit`.  Most steps one query may take: a
+# short side's Sym row shift-adds, the :func:`_series` products by a packed
+# v_j, or a hook's subset sums and moments (:func:`_moments`).
 SYM_STEP_BUDGET = 4 * 10**6
 
-# Most bytes the shift-adds of one query's Sym rows may move, steps times
-# row bytes (top+1)*w.  On P(O(1)+O(2)^{10000}) over P^1 (CPython 3.11.7,
-# 2 vCPUs) O(402H - 604F), 2*10^6 steps on rows of 201 fields of 308 bytes,
-# took 33 s CPU, and O(402H - 439F), just under this budget, 1.1 s.
+# Most bytes one packed table may hold, rows times fields times the field
+# width w >= 1.  Near the budget a line query on P^1 peaked at 55 MB
+# resident for n = 4 and 75 MB for n = 12 and 24 (64-bit CPython 3.11,
+# 15 MB after import), where a cell count let n = 24 reach 244 MB.
+SYM_CELL_BUDGET = 6 * 10**7
+
+# Most bytes one packed table's shift-adds may move, shift-adds times row
+# bytes, where a product by a packed operand of V nonzero fields counts as
+# V shift-adds.  On P(O(1)+O(2)^{10000}) over P^1 (CPython 3.11.7, 2 vCPUs)
+# O(402H - 604F), 2*10^6 steps on rows of 201 fields of 308 bytes, took
+# 33 s CPU, and O(402H - 439F), just under this budget, 1.1 s.
 SYM_WORK_BUDGET = 4 * 10**9
 
-# Most bytes and steps, n*K products of a row by a packed v_j, of the
-# triangle of :func:`_series`, K = min(m, p).
-SERIES_BYTE_BUDGET = SYM_CELL_BUDGET
-SERIES_STEP_BUDGET = SYM_STEP_BUDGET
+
+def _fit(what: str, k: int, steps: int, rows: int = 0, fields: int = 0, moves: int = 0, floor: int = 0,
+         n: int = 0, i: int = 0, p: int = 0, top: int = 0, m: int = 0) -> int:
+    """Width in bytes of `rows` packed rows of `fields` fields, each at most
+    sum_{s<=i} C(n+1, s) C(p-s+n, n) (the hook's rank; Sym^p at i = 0) times
+    C(top+m, m), and the one budget check: steps; the table's bytes, at the
+    floor width of `floor` bits before that bound is computed, then exactly;
+    then `moves` shift-adds of a row.  The error names the table what+k."""
+    if steps > SYM_STEP_BUDGET:
+        raise ValueError(f"{what}{k} on this scroll needs up to {steps} steps, over the budget of {SYM_STEP_BUDGET}")
+    cells, w = rows * fields, (floor + 8) // 8
+    if cells * w <= SYM_CELL_BUDGET:
+        rank = sum(comb(n + 1, s) * comb(p - s + n, n) for s in range(i + 1)) if i else comb(p + n, n)
+        w = ((rank * comb(top + m, m)).bit_length() + 8) // 8
+        if cells * w <= SYM_CELL_BUDGET:
+            if moves * fields * w <= SYM_WORK_BUDGET:
+                return w
+            raise ValueError(f"{what}{k} on this scroll needs {moves} shift-adds of {fields * w}-byte rows, "
+                             f"over the budget of {SYM_WORK_BUDGET} bytes shifted")
+    raise ValueError(f"{what}{k} on this scroll needs at least {cells * w} table bytes, "
+                     f"over the budget of {SYM_CELL_BUDGET}")
 
 
 def _gbinom(y: int, m: int, count: int) -> list[int]:
     """The generalized binomials C(y, m - r) for r < count, where
     C(y, k) = y(y-1)...(y-k+1)/k! = (-1)^k C(k-y-1, k) for y < 0."""
     if y >= 0:
-        return [comb(y, k) for k in range(m, m - count, -1)]
+        return list(map(comb, repeat(y), range(m, m - count, -1)))
     return [(-1) ** k * comb(k - y - 1, k) for k in range(m, m - count, -1)]
 
 
@@ -97,30 +116,14 @@ def _mirror(x: Scroll) -> Scroll:
     return Scroll(x.m, x.n, tuple(-aj for aj in x.a))
 
 
-def _row_width(gaps: tuple[int, ...], i: int, p: int, top: int, m: int) -> int:
-    """Field width in bytes for the rows Sym^{p-s}, s <= i, of :func:`_sym_row`
-    cut to top+1 fields: after m+1 rounds of prefix sums a field is at most
-    the mass sum_s C(n+1, s) C(p-s+n, n) times C(top+m, m) (m = 0 sizes the
-    bare histogram).  Raises ValueError past SYM_STEP_BUDGET steps or
-    SYM_CELL_BUDGET bytes, both checked before any binomial, or past
-    SYM_WORK_BUDGET bytes shifted; outside the cached :func:`_sym_row`."""
+def _row_width(gaps: tuple[int, ...], i: int, p: int, top: int, m: int, after: int = 0) -> int:
+    """Field width in bytes, by :func:`_fit`, for the rows Sym^{p-s}, s <= i,
+    of :func:`_sym_row` cut to top+1 fields and their m+1 rounds of prefix
+    sums (m = 0: the bare histogram), then `after` more shift-adds."""
     n, z = len(gaps) - 1, gaps.count(0)
     parts = min(p, top // gaps[z]) if z <= n else 0
     steps = (i + 1) * (n + 1 - z) * parts
-    if steps > SYM_STEP_BUDGET:
-        raise ValueError(f"Sym^{p} on this scroll needs up to {steps} dynamic-program steps, "
-                         f"over the budget of {SYM_STEP_BUDGET}")
-    cells, w = (parts + 1) * (top + 1), 1
-    if cells <= SYM_CELL_BUDGET:
-        mass = sum(comb(n + 1, s) * comb(p - s + n, n) for s in range(i + 1))
-        w = ((mass * comb(top + m, m)).bit_length() + 8) // 8
-        if cells * w <= SYM_CELL_BUDGET:
-            if steps * (top + 1) * w > SYM_WORK_BUDGET:
-                raise ValueError(f"Sym^{p} on this scroll needs {steps} dynamic-program steps on rows of "
-                                 f"{(top + 1) * w} bytes, over the budget of {SYM_WORK_BUDGET} bytes shifted")
-            return w
-    raise ValueError(f"Sym^{p} on this scroll needs at least {cells * w} table bytes, "
-                     f"over the budget of {SYM_CELL_BUDGET}")
+    return _fit("Sym^", p, steps, parts + 1, top + 1, steps + after, 0, n, i, p, top, m)
 
 
 @lru_cache(maxsize=1024)
@@ -146,54 +149,37 @@ def _sym_row(gaps: tuple[int, ...], k: int, top: int, w: int) -> int:
     return sum(comb(k - l + z - 1, z - 1) * row for l, row in enumerate(rows))
 
 
-def _series_width(x: Scroll, top: int, S: int) -> int:
-    """Field width in bytes for the rows K = 0..top of :func:`_series`, S+1
-    fields each.  [y^s] h_K(v) is at most C(K+n-1, n-1) C(K*d_n, s), the
-    count of monomials of degree K times the coefficient of (1+y)^{K d_n},
-    so at most C(top+n, n) C(span, k) with span = top*d_n and
-    k = min(S, span // 2).  Raises ValueError past SERIES_STEP_BUDGET steps
-    or SERIES_BYTE_BUDGET bytes, checked first against the floor
-    C(span, k) >= max(2, span // k)^k, so that no big binomial is computed
-    for a table that is refused anyway."""
-    if x.n * top > SERIES_STEP_BUDGET:
-        raise ValueError(f"the series h_K(v) for K <= {top} on this scroll needs up to {x.n * top} "
-                         f"dynamic-program steps, over the budget of {SERIES_STEP_BUDGET}")
-    span = top * (x.a[-1] - x.a[0])
-    k = min(S, span // 2)
-    cells = (top + 1) * (S + 1)
-    w = (k * max(1, (span // k).bit_length() - 1) + 8) // 8 if k else 1
-    if cells * w <= SERIES_BYTE_BUDGET:
-        w = ((comb(top + x.n, x.n) * comb(span, k)).bit_length() + 8) // 8
-        if cells * w <= SERIES_BYTE_BUDGET:
-            return w
-    raise ValueError(f"the series h_K(v) for K <= {top} on this scroll needs at least {cells * w} table bytes, "
-                     f"over the budget of {SERIES_BYTE_BUDGET}")
-
-
 @lru_cache(maxsize=1024)
-def _series(x: Scroll, top: int) -> tuple[tuple[int, ...], ...]:
-    """The triangle [y^s] h_K(v) for K = 0..min(top, S) and s = 0..S, with
-    S = min(m, top*(a_n - a_0)), h_K the complete homogeneous symmetric
-    polynomial in v_j = (1+y)^{a_j - a_0} - 1.  Terms with K > top or s > S
-    never reach :func:`_base_sum` at min(m, p) = top, and K > s vanishes
-    since each v_j is divisible by y.
+def _series(m: int, a: tuple[int, ...], top: int) -> tuple[tuple[int, ...], ...]:
+    """The triangle [y^s] h_K(v), K = 0..min(top, S) and s = 0..S, of the
+    twists a over P^m (cached by them, which hash faster than a Scroll
+    dataclass), S = min(m, top*(a_n - a_0)), h_K the complete
+    homogeneous symmetric polynomial in v_j = (1+y)^{a_j - a_0} - 1.  K > top
+    or s > S never reach :func:`_base_sum` at min(m, p) = top, and K > s
+    vanishes since each v_j is divisible by y.
 
     The dynamic program of :func:`_sym_row`, with each row packed in y, one
     field per power: adding v_j is rows[K] += rows[K-1] * v_j for K = 1..top,
-    each product cut back to S+1 fields.  Every coefficient is nonnegative
-    and fits its field (:func:`_series_width`), so fields at or below y^S
-    never carry, and what the cut drops cannot reach them."""
-    a0 = x.a[0]
-    S = min(x.m, top * (x.a[-1] - a0))
+    each product cut back to S+1 fields and counted as min(d_n, S) shift-adds,
+    the most fields a v_j has.  Every coefficient is nonnegative and fits
+    its field, so fields at or below y^S never carry, and what the cut drops
+    cannot reach them: [y^s] h_K(v) is at most C(K+n-1, n-1) C(K*d_n, s),
+    so at most C(top+n, n) C(span, k) with span = top*d_n and k = min(S,
+    span // 2), :func:`_fit`'s bound at i = 0, of floor (span // k)^k >= 2^k."""
+    a0, dn = a[0], a[-1] - a[0]
+    S = min(m, top * dn)
     top = min(top, S)
     if not top:
         return ((1,),)  # h_0 = 1, and no power of y survives
-    w = _series_width(x, top, S)
+    n, span = len(a) - 1, top * dn
+    k, steps = min(S, span // 2), n * top
+    w = _fit("the series h_K(v) for K <= ", top, steps, top + 1, S + 1, steps * (dn if dn < S else S),
+             k and k * ((span // k).bit_length() - 1), n, 0, top, span - k, k)
     f, size = 8 * w, (S + 1) * w
     mask = (1 << 8 * size) - 1
     rows, ks = [1] + [0] * top, range(1, top + 1)
     d, v = 0, 0
-    for aj in x.a[1:]:
+    for aj in a[1:]:
         if aj - a0 != d:  # twists are sorted, so equal d_j come together
             d, v = aj - a0, 0
             for s in range(min(d, S), 0, -1):  # v_j packed by Horner's rule
@@ -216,7 +202,7 @@ def sym_twists(x: Scroll, k: int) -> tuple[tuple[int, int], ...]:
     unpacked view of the full-length :func:`_sym_row` with fields just wide
     enough for C(k+n, n), the most any count can be.  Production reads the
     packed rows of short sides; this view serves the reference routes.
-    Raises ValueError when the table would exceed SYM_CELL_BUDGET bytes."""
+    Raises ValueError past a budget (:func:`_row_width`)."""
     if k < 0:
         raise ValueError("symmetric power index must be nonnegative")
     gaps = tuple(aj - x.a[0] for aj in x.a)
@@ -262,6 +248,24 @@ def subset_sums(x: Scroll, top: int | None = None) -> tuple[tuple[tuple[int, int
 
 
 @lru_cache(maxsize=1024)
+def subset_value_bounds(a: tuple[int, ...], top: int) -> tuple[int, ...]:
+    """Per size s = 0..top, at most how many distinct a_I there are over the
+    subsets I, |I| = s, of the sorted twists a, before :func:`subset_sums`
+    runs: C(n+1, s), or the count of integers from the sum of the s smallest
+    twists to that of the s largest, C(n+1, s) stepped while it may be less."""
+    n1 = len(a)
+    cap = n1 * (a[-1] - a[0]) + 1  # no count of integers is larger
+    sizes, out, lo, hi = [1], [1], 0, 0
+    for s in range(1, top + 1):
+        k = min(s, n1 - s)
+        if k == len(sizes):
+            sizes.append(sizes[-1] * (n1 + 1 - k) // k if sizes[-1] <= cap else sizes[-1])
+        lo, hi = lo + a[s - 1], hi + a[-s]
+        out.append(min(sizes[k], hi - lo + 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
 def _moments(x: Scroll, i: int, p: int) -> tuple[int, ...]:
     """The binomial moments M_r, r = 0..min(m, p*(a_n - a_0)), of the hook
     pi_* Omega^i(pH), p > i, in D = t - p*a_0.  Sym^k(V) has the moments
@@ -269,23 +273,16 @@ def _moments(x: Scroll, i: int, p: int) -> tuple[int, ...]:
     g = a_I - s*a_0 shifts D by g, and C(g + D, r) = sum_j C(g, j) C(D, r-j),
     so M_r = sum_s (-1)^{i-s} sum_g c_g sum_j C(g, j) U_{r-j}(p-s).
 
-    Raises ValueError past SYM_STEP_BUDGET steps, checked before the subset
-    sums run: the size-s sums take at most min(C(n+1, s), s*d + 1) values,
-    d = a_n - a_0, met once per twist and read here min(L, s*d + 1) times,
-    each read followed by L = len(M) products.  A cached vector takes none."""
+    The steps are checked before the subset sums run: at most b_s values
+    of size s (:func:`subset_value_bounds`), met once per twist and read
+    min(L, s*d + 1) times, d = a_n - a_0, each read followed by L = len(M)
+    products.  A cached vector takes none."""
     n, a0, d = x.n, x.a[0], x.a[-1] - x.a[0]
     out = [0] * (min(x.m, p * d) + 1)
-    steps, sizes = 0, [1]  # sizes[k] = C(n+1, k), capped past the budget
-    for s in range(1, i + 1):
-        k = min(s, n + 1 - s)
-        if k == len(sizes):
-            sizes.append(min(sizes[-1] * (n + 2 - k) // k, SYM_STEP_BUDGET + 1))
-        size, reads = min(sizes[k], s * d + 1), min(len(out), s * d + 1)
-        steps += (n + 1) * size + reads * (size + len(out))
-    if steps > SYM_STEP_BUDGET:
-        raise ValueError(f"Omega^{i} on this scroll needs up to {steps} subset-sum and moment steps, "
-                         f"over the budget of {SYM_STEP_BUDGET}")
-    rows = _series(x, min(x.m, p))  # C(p-s+n, n+K) = 0 past K = p-s
+    steps = sum((n + 1) * b + min(len(out), s * d + 1) * (b + len(out))
+                for s, b in enumerate(subset_value_bounds(x.a, i)[1:], 1))
+    _fit("Omega^", i, steps)  # steps alone: no packed table
+    rows = _series(x.m, x.a, min(x.m, p))  # C(p-s+n, n+K) = 0 past K = p-s
     for s, sums in enumerate(subset_sums(x, i)):
         weights = [comb(p - s + n, n + K) for K in range(len(rows))]
         sign, sym = -1 if (i - s) % 2 else 1, [sum(map(mul, weights, col)) for col in zip(*rows)]
@@ -304,13 +301,15 @@ def _short_side(y: Scroll, i: int, p: int, top: int) -> int:
     sums a_I - s*a_0 packed, each product cut to top+1 fields.  The bundle
     is a Schur functor of the split V, so every multiplicity is
     nonnegative: the positive and the negative terms are added apart and
-    subtracted once, which never borrows, and the cut keeps that."""
+    subtracted once, which never borrows, and the cut keeps that.  Then a
+    shift-add per subset sum, and (m+1)*bit_length(top) in :func:`_scan`."""
     a0, gaps = y.a[0], tuple(aj - y.a[0] for aj in y.a)
-    w = _row_width(gaps, i, p, top, y.m)
+    by_size = subset_sums(y, i)
+    w = _row_width(gaps, i, p, top, y.m, sum(map(len, by_size)) + (y.m + 1) * top.bit_length())
     f = 8 * w
     mask = (1 << f * (top + 1)) - 1
     signed = [0, 0]
-    for s, sums in enumerate(subset_sums(y, i)):
+    for s, sums in enumerate(by_size):
         packed = sum(c << f * (u - s * a0) for u, c in sums if u - s * a0 <= top)
         signed[(i - s) % 2] += packed * _sym_row(gaps, p - s, top, w) & mask
     return _scan(y.m, signed[0] - signed[1], f, top + 1)
@@ -326,7 +325,7 @@ def _base_sum(x: Scroll, i: int, p: int, q: int) -> tuple[int, int]:
     if i:  # first: the hook's moments check the subset sums the side reads
         weights, rows = (1,), (_moments(x, i, p),)
     else:  # U_r = sum_K C(p+n, n+K) [y^r] h_K(v), as in :func:`_moments`
-        rows = _series(x, min(m, p))
+        rows = _series(m, x.a, min(m, p))
         weights = map(comb, repeat(p + n), range(n, n + len(rows)))
     col, chi = _gbinom(e + m, m, len(rows[0])), 0
     for k, row in zip(weights, rows):  # chi = sum_r col[r] M_r, M = sum_K weights[K] rows[K]

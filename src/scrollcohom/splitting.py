@@ -40,12 +40,13 @@ depending only on (scroll, criterion, i, q) and cached: one interval pass,
 :func:`scrollcohom.windows.window_pass`, on Omega^i(0, q) gives each
 condition's own t-intervals, exactly the twists where it is nonzero, and
 each side's hull; each condition is evaluated only inside its intervals, so
-every evaluation is nonzero.  Witnesses at equal (t, condition) add, and
-the window, which is reported, is the hull of the shifted hulls.
-:func:`_scan_window`, the same scan run directly on the whole sheaf, is the
-reference that verify checks the composed reports against.  Condition
-families, the 2.3 hypotheses and case detectors too, are built once per
-scroll; each table build and each 2.3/c2.7 check builds E^dual at most once
+every evaluation is nonzero (:func:`_condition_scan`, the one scan loop).
+Witnesses at equal (t, condition) add, and the window, which is reported,
+is the hull of the shifted hulls.  :func:`_scan_window`, the same scan run
+directly on the whole sheaf and assembled on its own, is the reference that
+verify checks the composed reports against.  Condition families, the 2.3
+hypotheses and case detectors too, are built once per scroll; each table
+build and each 2.3/c2.7 check builds E^dual at most once
 (:func:`scrollcohom.windows.side_lookup`).  The test suite re-checks all
 conditions at the window margins and compares the result with a scan of
 every condition at every t.
@@ -54,11 +55,10 @@ every condition at every t.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
-from .cohomology import SplitBundle, subset_sums
+from .cohomology import SplitBundle, subset_sums, subset_value_bounds
 from .regularity import RegResult, check_family, reg_detail
 from .scroll import DivClass, Scroll
 from .sheaves import SheafSpec
@@ -113,32 +113,23 @@ class SplittingReport(NamedTuple):
         return out
 
 
+def _witnesses(conds, found) -> tuple[Witness, ...]:
+    """The witnesses ((t, j), h), h != 0, of the conditions conds[j], in the
+    order found; t is None for a hypothesis at fixed twists."""
+    out = []
+    for (t, j), h in found:
+        cond = conds[j]
+        out.append(Witness(cond.label, t, cond.idx, DivClass((t or 0) + cond.dp, cond.dq),
+                           "dual" if cond.dual else "E", h))
+    return tuple(out)
+
+
 def subset_values(x: Scroll) -> list[tuple[int, int]]:
     """Distinct (|I|, a_I) over subsets I of the twist indices with
     1 <= |I| <= n (the range the subset-indexed conditions quantify over),
     sorted, read off the subset-sum histograms."""
     sums = subset_sums(x)
     return [(r, a_i) for r in range(1, x.n + 1) for a_i, _ in sums[r]]
-
-
-@lru_cache(maxsize=1024)
-def _subset_value_bounds(x: Scroll) -> tuple[int, ...]:
-    """Per size r = 0..n+1, at most how many distinct a_I there are over
-    the subsets I with |I| = r: C(n+1, r), and the number of integers from
-    the sum of the r smallest twists to the sum of the r largest, where
-    every a_I lies.  It sizes the subset-indexed conditions before
-    :func:`subset_sums` runs.  C(n+1, r) grows up to r = (n+1)/2 and mirrors
-    after; it is stepped only while it may be the smaller, so it stays small."""
-    n1 = x.n + 1
-    cap = n1 * (x.a[-1] - x.a[0]) + 1  # no count of integers is larger
-    half, c = [], 1
-    for r in range(n1 // 2 + 1):
-        half.append(c)
-        if c <= cap:
-            c = c * (n1 - r) // (r + 1)
-    smallest = list(accumulate(x.a, initial=0))
-    largest = list(accumulate(reversed(x.a), initial=0))
-    return tuple(min(half[min(r, n1 - r)], largest[r] - smallest[r] + 1) for r in range(n1 + 1))
 
 
 def pure_h_conditions(x: Scroll) -> list[Cond]:
@@ -154,7 +145,7 @@ def pure_h_conditions(x: Scroll) -> list[Cond]:
 def ohf_conditions(x: Scroll) -> list[Cond]:
     """The pure-H conditions without (a) j = 0 and (b) (0, m), then (c)
     and the (d) pair per (|I|, a_I)."""
-    values = sum(_subset_value_bounds(x)[1:x.n + 1])
+    values = sum(subset_value_bounds(x.a, x.n)[1:])
     # (a) m-1, (b) (m+1)n-2, (c) m, and (d) two per (|I|, a_I)
     check_family(x, 2 * x.m + (x.m + 1) * x.n - 3 + 2 * values, "O/O(F)/O(H-F) splitting conditions")
     conds = [c for c in pure_h_conditions(x) if (c.label, c.idx) not in (("a", (0,)), ("b", (0, x.m)))]
@@ -171,7 +162,7 @@ def rns_ohf_conditions(x: Scroll) -> list[Cond]:
 
 
 def indecomposable_hypotheses(x: Scroll) -> list[Cond]:
-    v = _subset_value_bounds(x)
+    v = subset_value_bounds(x.a, x.n)
     subset_indexed = (2 * sum(v[1:x.n + 1])  # d1, d2
                       + sum(v[s] * (x.n - s) for s in range(1, x.n))  # e1: |I| = s for i >= s
                       + sum(v[s] * (x.n + 1 - s) for s in range(2, x.n + 1)))  # e2: |I| = s for i <= n+1-s
@@ -204,21 +195,28 @@ def indecomposable_hypotheses(x: Scroll) -> list[Cond]:
     return conds
 
 
+def _condition_scan(x: Scroll, spec: SheafSpec, conds) -> tuple[dict, dict]:
+    """The scan of a condition family on spec: (hulls, values), keyed like
+    :func:`scrollcohom.windows.side_lookup` by ``Cond.dual``, where hulls[dual]
+    is the side's :func:`window_pass` hull and values[dual] lists the nonzero
+    (t, j, h^k(side<t + dp, dq>)) of the conditions conds[j] that read the
+    side, evaluated only inside their intervals, sorted by (t, j)."""
+    sides = side_lookup(x, spec, conds)
+    hulls, intervals = window_pass(x, spec, conds, sides)
+    values = {dual: [] for dual in sides}
+    for t, j in sorted({(t, j) for j, ivs in enumerate(intervals) for a, b in ivs for t in range(a, b + 1)}):
+        h = eval_cond(x, spec, conds[j], t, sides)
+        if h:
+            values[conds[j].dual].append((t, j, h))
+    return hulls, values
+
+
 def _scan_window(x: Scroll, spec: SheafSpec, conds: list[Cond], theorem: str) -> SplittingReport:
     """The direct scan of a whole sheaf, which verify checks
     :func:`check_theorem`'s composed reports against."""
-    sides = side_lookup(x, spec, conds)
-    hulls, intervals = window_pass(x, spec, conds, sides)
-    todo = {(t, i) for i, ivs in enumerate(intervals) for a, b in ivs for t in range(a, b + 1)}
-    witnesses = []
-    for t, i in sorted(todo):
-        cond = conds[i]
-        h = eval_cond(x, spec, cond, t, sides)
-        if h:
-            witnesses.append(Witness(cond.label, t, cond.idx,
-                                     DivClass(t + cond.dp, cond.dq),
-                                     "dual" if cond.dual else "E", h))
-    return SplittingReport(theorem, not witnesses, tuple(witnesses), window=hull(hulls.values()))
+    hulls, values = _condition_scan(x, spec, conds)
+    witnesses = _witnesses(conds, sorted(((t, j), h) for side in values.values() for t, j, h in side))
+    return SplittingReport(theorem, not witnesses, witnesses, window=hull(hulls.values()))
 
 
 def _detectors(x: Scroll) -> list[tuple[str, int | None, str, Cond]]:
@@ -248,21 +246,10 @@ def _family(x: Scroll, which: str) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _piece_table(x: Scroll, theorem: str, i: int, q: int) -> tuple:
-    """The scan of criterion `theorem` on the one-piece sheaf Omega^i(0, q):
-    per side it reads, keyed by ``Cond.dual``, (dual, hull, values), where
-    hull is the side's :func:`window_pass` hull and values the nonzero
-    (t, j, h^k(side<t + dp, dq>)) of the conditions conds[j] that read the
-    side, evaluated only inside their intervals, sorted by (t, j)."""
-    conds = _family(x, theorem)
-    spec = SheafSpec(((i, DivClass(0, q)),))
-    sides = side_lookup(x, spec, conds)
-    hulls, intervals = window_pass(x, spec, conds, sides)
-    values = {dual: [] for dual in sides}
-    for t, j in sorted({(t, j) for j, ivs in enumerate(intervals) for a, b in ivs for t in range(a, b + 1)}):
-        h = eval_cond(x, spec, conds[j], t, sides)
-        if h:
-            values[conds[j].dual].append((t, j, h))
-    return tuple((dual, hulls[dual], tuple(values[dual])) for dual in sides)
+    """:func:`_condition_scan` of criterion `theorem` on the one-piece sheaf
+    Omega^i(0, q): per side it reads, (dual, hull, values)."""
+    hulls, values = _condition_scan(x, SheafSpec(((i, DivClass(0, q)),)), _family(x, theorem))
+    return tuple((dual, hulls[dual], tuple(values[dual])) for dual in hulls)
 
 
 def _composed_scan(x: Scroll, spec: SheafSpec, theorem: str) -> SplittingReport:
@@ -281,12 +268,8 @@ def _composed_scan(x: Scroll, spec: SheafSpec, theorem: str) -> SplittingReport:
             ends.append((lo + shift, hi + shift))
             for t, j, h in values:
                 sums[t + shift, j] = sums.get((t + shift, j), 0) + h
-    witnesses = []
-    for (t, j), h in sorted(sums.items()):
-        cond = conds[j]
-        witnesses.append(Witness(cond.label, t, cond.idx, DivClass(t + cond.dp, cond.dq),
-                                 "dual" if cond.dual else "E", h))
-    return SplittingReport(theorem, not witnesses, tuple(witnesses), window=hull(ends))
+    witnesses = _witnesses(conds, sorted(sums.items()))
+    return SplittingReport(theorem, not witnesses, witnesses, window=hull(ends))
 
 
 def _classify(x: Scroll, spec: SheafSpec) -> tuple[tuple[CaseFired, ...], str | None]:
@@ -313,15 +296,10 @@ def _indecomposable_check(x: Scroll, spec: SheafSpec, theorem: str) -> Splitting
     if reg_res.value != 0:
         pre = (f"Reg(E) = {reg_res.value}, hypothesis needs 0",)
     sides = side_lookup(x, spec, hypotheses)
-    witnesses = []
-    for cond in hypotheses:
-        h = eval_cond(x, spec, cond, 0, sides)
-        if h:
-            witnesses.append(Witness(cond.label, None, cond.idx,
-                                     DivClass(cond.dp, cond.dq),
-                                     "dual" if cond.dual else "E", h))
+    values = ((j, eval_cond(x, spec, cond, 0, sides)) for j, cond in enumerate(hypotheses))
+    witnesses = _witnesses(hypotheses, [((None, j), h) for j, h in values if h])
     fired, conclusion = _classify(x, spec)
-    return SplittingReport(theorem, not witnesses and not pre, tuple(witnesses),
+    return SplittingReport(theorem, not witnesses and not pre, witnesses,
                            reg=reg_res, precondition_failures=pre,
                            fired=fired, conclusion=conclusion)
 

@@ -486,15 +486,22 @@ def _on_p(m, n=1, a=(1, 2)):
     ["cohom", "--scroll", _on_p(1, 400, range(1, 402)), "--sheaf", '{"omega":{"i":200,"twist":[201,0]}}'],
     ["cohom", "--scroll", _on_p(1000, 100, range(1, 102)), "--sheaf", '{"omega":{"i":50,"twist":[51,0]}}'],
     ["cohom", "--scroll", _on_p(1, 10000, [1] + [2] * 10000), "--sheaf", O, "--twist=402,-604"],
+    ["cohom", "--scroll", _on_p(3000, 1, [0, 20000]), "--sheaf", O, "--twist=2,0"],
+    ["cohom", "--scroll", _on_p(1500, 2, [0, 0, 20000]), "--sheaf", '{"omega":{"i":1,"twist":[2,0]}}'],
+    ["cohom", "--scroll", _on_p(1000, 1, [0, 10**6]), "--sheaf", O, "--twist=1,-41001"],
 ], ids=["msreg-150", "msreg-200", "split-2.3", "reg", "compare", "omega-hook", "pqreg",
-        "omega-subset-sums", "omega-moments", "row-bytes"])
+        "omega-subset-sums", "omega-moments", "row-bytes", "series-products", "omega-series-products",
+        "scan-rounds"])
 def test_large_scroll_is_refused_by_its_budget(capsys, argv):
     # the condition family's tables, the hook's Sym rows (2*200*10001 steps
     # to the cut N_m = 10001), a hook's subset sums and moments on a spread
     # of twists (3.2*10^9 steps for Omega^200 at n = 400, 1.8*10^8 for
-    # Omega^50 at n = 100 over P^1000), or a short side of few steps on wide
-    # rows (2*10^6 steps on rows of 61,908 bytes) are sized from the
-    # descriptor and refused before any of them is built
+    # Omega^50 at n = 100 over P^1000), a short side of few steps on wide
+    # rows (2*10^6 steps on rows of 61,908 bytes), a series of few products
+    # by a v_j of thousands of fields on multi-megabyte rows (O(2H) and
+    # Omega^1(2H) with S = m), or a short side whose m+1 rounds of scan
+    # shift 34 MB rows 16,017 times are sized from the descriptor and
+    # refused before any of them is built
     t0 = time.process_time()
     code, out, err = run(capsys, *argv)
     assert time.process_time() - t0 < 2

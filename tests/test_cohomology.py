@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from scrollcohom import (DivClass, SplitBundle, bundle_cohom, euler_char, is_glo
                          sym_twists)
 from scrollcohom import cohomology
 from scrollcohom.characters import weak_compositions
-from scrollcohom.cohomology import choose
+from scrollcohom.cohomology import choose, subset_sums
 from scrollcohom.complexes import cotangent_resolution_left, cotangent_resolution_right, hypercohom
 from scrollcohom.verify import hook_twists
 
@@ -69,39 +70,54 @@ def test_step_budget_counts_every_sym_row(monkeypatch):
     # n*K steps for a line bundle's short side, (i+1)*n*K for the i+1 rows of
     # Omega^i(pH), K the parts that fit below the cut N.  On O(1)+O(2)^3 over
     # P^1 at p = 40 the h^m side is the shorter one, with N = K = -40-q-2,
-    # while h^0 needs 80+q.  The subset sums and moments of a hook take steps
-    # of their own, 16 at i = 1 (two subset sums, two moments), counted when
-    # the moments are built: a cached vector takes none
+    # while h^0 needs 80+q: 3*14 steps at q = -56, 2*3*7 for Omega^1 at
+    # q = -49.  The subset sums and moments of a hook take steps of their
+    # own, 16 at i = 1 (two subset sums, two moments), counted when the
+    # moments are built: a cached vector takes none
     y = make_scroll(1, 3, [1, 2, 2, 2])
     line, hook = _line_by_pm_cohom(y, DivClass(40, -56)), _omega_by_pm_cohom(y, 1, DivClass(40, -49))
     flat = {p: _omega_by_pm_cohom(y, 1, DivClass(p, 0)) for p in (40, 41)}
     cohomology._moments.cache_clear()
     monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 42)
     assert cohomology.line_cohom.__wrapped__(y, DivClass(40, -56)) == line
-    with pytest.raises(ValueError, match="^Sym\\^40 on this scroll needs up to 45 dynamic-program steps"):
-        cohomology.line_cohom.__wrapped__(y, DivClass(40, -57))
     assert omega_cohom(y, 1, DivClass(40, -49)) == hook
-    with pytest.raises(ValueError, match="needs up to 48 dynamic-program steps, over the budget of 42$"):
-        omega_cohom(y, 1, DivClass(40, -50))
+    monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 41)
+    with pytest.raises(ValueError, match="^Sym\\^40 on this scroll needs up to 42 steps, over the budget of 41$"):
+        cohomology.line_cohom.__wrapped__(y, DivClass(40, -56))
+    with pytest.raises(ValueError, match="^Sym\\^40 on this scroll needs up to 42 steps, over the budget of 41$"):
+        omega_cohom(y, 1, DivClass(40, -49))
     monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 15)
     assert omega_cohom(y, 1, DivClass(40, 0)) == flat[40]
-    with pytest.raises(ValueError, match="^Omega\\^1 on this scroll needs up to 16 subset-sum and moment steps"):
+    with pytest.raises(ValueError, match="^Omega\\^1 on this scroll needs up to 16 steps, over the budget of 15$"):
         omega_cohom(y, 1, DivClass(41, 0))
     monkeypatch.setattr(cohomology, "SYM_STEP_BUDGET", 16)
     assert omega_cohom(y, 1, DivClass(41, 0)) == flat[41]
 
 
 def test_work_budget_counts_steps_times_row_bytes(monkeypatch):
-    # the h^1 side of O(40H - 56F) on O(1)+O(2)^3 over P^1: 3*14 steps on
-    # rows cut to N_m + 1 = 15 fields of w bytes
-    y, d = make_scroll(1, 3, [1, 2, 2, 2]), DivClass(40, -56)
-    want, w = _line_by_pm_cohom(y, d), cohomology._row_width((0, 1, 1, 1), 0, 40, 14, 1)
-    monkeypatch.setattr(cohomology, "SYM_WORK_BUDGET", 42 * 15 * w)
-    assert cohomology.line_cohom.__wrapped__(y, d) == want
-    monkeypatch.setattr(cohomology, "SYM_WORK_BUDGET", 42 * 15 * w - 1)
-    with pytest.raises(ValueError, match=f"^Sym\\^40 on this scroll needs 42 dynamic-program steps on rows of "
-                                         f"{15 * w} bytes, over the budget of {42 * 15 * w - 1} bytes shifted$"):
-        cohomology.line_cohom.__wrapped__(y, d)
+    # the h^1 side on O(1)+O(2)^3 over P^1 of O(40H - 56F): 3*14 shift-adds
+    # on rows cut to N_m + 1 = 15 fields of w bytes, the product by the
+    # packed 1, and m+1 = 2 rounds of bit_length(14) = 4 doublings in the
+    # scan; of Omega^1(40H - 49F): 2*3*7 shift-adds on rows of 8 fields, the
+    # products by the packed subset sums a_I - a_0, one field at |I| = 0 and
+    # two (0 and 1) at |I| = 1, and 2 rounds of 3 doublings.  The side's
+    # table holds parts+1 rows of those fields
+    y = make_scroll(1, 3, [1, 2, 2, 2])
+    for i, d, parts, fields, moves in ((0, DivClass(40, -56), 14, 15, 42 + 1 + 2 * 4),
+                                       (1, DivClass(40, -49), 7, 8, 42 + 3 + 2 * 3)):
+        want = _omega_by_pm_cohom(y, i, d) if i else _line_by_pm_cohom(y, d)
+        query = partial(omega_cohom, y, i, d) if i else partial(cohomology.line_cohom.__wrapped__, y, d)
+        w = cohomology._row_width((0, 1, 1, 1), i, 40, fields - 1, 1)
+        for name, need, message in (("SYM_WORK_BUDGET", moves * fields * w,
+                                     f"needs {moves} shift-adds of {fields * w}-byte rows"),
+                                    ("SYM_CELL_BUDGET", (parts + 1) * fields * w,
+                                     f"needs at least {(parts + 1) * fields * w} table bytes")):
+            monkeypatch.setattr(cohomology, name, need)
+            assert query() == want
+            monkeypatch.setattr(cohomology, name, need - 1)
+            with pytest.raises(ValueError, match=f"^Sym\\^40 on this scroll {message}, over the budget of {need - 1}"):
+                query()
+            monkeypatch.undo()
 
 
 def test_sym_twists_wide_fields_across_twists():
@@ -133,6 +149,19 @@ def test_sym_twists_matches_enumeration(x, k):
     assert dict(hist) == want
     assert all(t1 < t2 for (t1, _), (t2, _) in zip(hist, hist[1:]))
     assert sum(mult for _, mult in hist) == choose(k + x.n, x.n)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(x=scrolls())
+@example(x=make_scroll(1, 5, [0, 0, 0, 0, 0, 0]))  # one value per size
+@example(x=make_scroll(1, 4, [0, 10, 20, 30, 40]))  # C(n+1, s) the smaller
+def test_subset_value_bounds_cover_every_size(x):
+    # min(C(n+1, s), sum of the s largest twists - sum of the s smallest + 1),
+    # never fewer than the distinct a_I that subset_sums lists
+    bounds, sums = cohomology.subset_value_bounds(x.a, x.n + 1), subset_sums(x)
+    for s, (b, row) in enumerate(zip(bounds, sums)):
+        assert b == min(choose(x.n + 1, s), sum(x.a[x.n + 1 - s:]) - sum(x.a[:s]) + 1) >= len(row)
+    assert cohomology.subset_value_bounds(x.a, 1) == bounds[:2]
 
 
 def test_line_cohom_high_degree():
@@ -172,19 +201,22 @@ def test_closed_form_on_a_wide_base_stops_at_min_m_p(p):
 
 
 def test_series_budgets(monkeypatch):
-    # on P(O(1)+O(2)) over P^3, the series to K = 3: 4 rows of S+1 = 4 fields,
-    # each coefficient at most C(4, 1) C(3, 1) = 12, so 1-byte fields; n*K = 3 steps
-    x = make_scroll(3, 1, [1, 2])
-    monkeypatch.setattr(cohomology, "SERIES_BYTE_BUDGET", 16)
-    monkeypatch.setattr(cohomology, "SERIES_STEP_BUDGET", 3)
-    assert cohomology._series.__wrapped__(x, 3) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    monkeypatch.setattr(cohomology, "SERIES_BYTE_BUDGET", 15)
-    with pytest.raises(ValueError, match="^the series h_K\\(v\\) for K <= 3 on this scroll needs at least 16 "
-                                         "table bytes, over the budget of 15$"):
-        cohomology._series.__wrapped__(x, 3)
-    monkeypatch.setattr(cohomology, "SERIES_STEP_BUDGET", 2)
-    with pytest.raises(ValueError, match="needs up to 3 dynamic-program steps, over the budget of 2$"):
-        cohomology._series.__wrapped__(x, 3)
+    # on P(O(0)+O(2)) over P^3, the series to K = 3: v = 2y + y^2 and
+    # h_K(v) = v^K, 4 rows of S+1 = 4 fields, each coefficient at most
+    # C(4, 1) C(6, 3) = 80, so 1-byte fields; n*K = 3 products by v, whose
+    # 2 fields count 6 shift-adds of 4-byte rows
+    x = make_scroll(3, 1, [0, 2])
+    for name, need, message in (("SYM_STEP_BUDGET", 3, "needs up to 3 steps"),
+                                ("SYM_CELL_BUDGET", 16, "needs at least 16 table bytes"),
+                                ("SYM_WORK_BUDGET", 24, "needs 6 shift-adds of 4-byte rows")):
+        monkeypatch.setattr(cohomology, name, need)
+        assert cohomology._series.__wrapped__(3, x.a, 3) == ((1, 0, 0, 0), (0, 2, 1, 0), (0, 0, 4, 4),
+                                                             (0, 0, 0, 8))
+        monkeypatch.setattr(cohomology, name, need - 1)
+        with pytest.raises(ValueError, match=f"^the series h_K\\(v\\) for K <= 3 on this scroll {message}, "
+                                             f"over the budget of {need - 1}"):
+            cohomology._series.__wrapped__(3, x.a, 3)
+        monkeypatch.undo()
 
 
 def _line_by_pm_cohom(x, d):
@@ -298,7 +330,7 @@ def test_second_routes_skip_the_base_sum(monkeypatch):
             raise AssertionError(f"a second route reached cohomology.{name}")
         monkeypatch.setattr(cohomology, name, forbidden)
 
-    for name in ("_base_sum", "_moments", "_series", "_series_width", "_short_side", "_scan", "_mirror"):
+    for name in ("_base_sum", "_moments", "_series", "_fit", "_short_side", "_scan", "_mirror"):
         forbid(name)
     for p in (-4, -1, 0, 2):
         for q in (-4, 1):
